@@ -1,10 +1,11 @@
-//! Hot-path bench: raw `Network::resolve_round` throughput.
+//! Hot-path bench: raw `Network::resolve_round_sparse` throughput.
 //!
-//! Measures the arena-backed engine against `baseline` — a faithful copy
-//! of the original (pre-arena, pre-scratch) round-resolution loop (fresh
-//! `Vec`s every round, extra frame clones, unconditional record
-//! construction) — across the trace-retention policies, for a cheap `u64`
-//! frame and a clone-heavy `Vec<u8>` frame.
+//! Measures the arena-backed engine against
+//! [`ReferenceNetwork`] — the naive, independent copy of the round rule
+//! (fresh `Vec`s every round, frame clones on gather, unconditional
+//! record construction) that the equivalence proptests hold the engine
+//! to — across the trace-retention policies, for a cheap `u64` frame and
+//! a clone-heavy `Vec<u8>` frame.
 //!
 //! Four groups:
 //!
@@ -19,28 +20,28 @@
 //! * `sinks/*` — the pluggable [`TraceSink`]s under full record
 //!   construction on a larger grid, where retention cost dominates.
 //! * `sparse/*` — O(active) resolution at fixed activity (24 awake nodes)
-//!   as the population grows: `dense_n*` rows pay the dense gather over
-//!   all `n` actions, `sparse_n*` rows feed only the awake pairs to
-//!   [`Network::resolve_round_sparse`], and `sim_n*` rows drive the full
-//!   [`Simulation`] wake-queue from n = 10³ to 10⁶ — the headline claim
-//!   is ns-per-active-node staying flat as `n` grows 1000×.
+//!   as the population grows: `dense_n*` rows list all `n` nodes
+//!   (sleepers as explicit [`Action::Sleep`], the way replay's dense
+//!   driver polls everyone) and pay the gather over all of them,
+//!   `sparse_n*` rows list only the awake pairs, and `sim_n*` rows drive
+//!   the full [`Simulation`] wake-queue from n = 10³ to 10⁶ — the headline
+//!   claim is ns-per-active-node staying flat as `n` grows 1000×.
 //!
 //! Besides the usual criterion output, `main` writes the measured
 //! per-round times to `BENCH_engine.json` so the perf trajectory of this
 //! path is tracked in-repo. Under `BENCH_SMOKE=1` (the CI per-push leg)
 //! sample counts shrink, the JSON baseline is left untouched, and a loose
-//! sanity gate panics if the arena path regresses past the pre-refactor
-//! baseline — an allocation-storm regression fails the build loudly
-//! instead of silently drifting `BENCH_engine.json`.
+//! sanity gate panics if the arena path regresses past the reference —
+//! an allocation-storm regression fails the build loudly instead of
+//! silently drifting `BENCH_engine.json`.
 
 use criterion::{black_box, summaries_json, Criterion, Summary};
+use radio_network::testing::{awake_actions, ReferenceNetwork};
 use radio_network::{
-    Action, AdversaryAction, ChannelId, ChannelOutcome, ChannelSink, Emission, InMemorySink,
-    Network, NetworkConfig, NodeId, NullSink, OverflowPolicy, RoundRecord, RoundView, Simulation,
-    TraceRetention, TraceSink,
+    Action, AdversaryAction, ChannelId, ChannelSink, InMemorySink, Network, NetworkConfig, NodeId,
+    NullSink, OverflowPolicy, RoundView, Simulation, TraceRetention, TraceSink,
 };
 use secure_radio_bench::smoke;
-use std::collections::VecDeque;
 use std::fmt::Debug;
 
 const CHANNELS: usize = 8;
@@ -53,8 +54,8 @@ const SINK_ROUNDS_PER_ITER: usize = 1024;
 /// Queue capacity between the round loop and the trace-writer thread.
 const SINK_QUEUE: usize = 256;
 
-/// The actions of one synthetic round: a deterministic mix of transmitters
-/// (some colliding), listeners, and sleepers.
+/// One action per node for one synthetic round: a deterministic mix of
+/// transmitters (some colliding), listeners, and sleepers.
 fn actions<M: Clone>(round: usize, frame: &M) -> Vec<Action<M>> {
     (0..NODES)
         .map(|i| match i % 4 {
@@ -89,97 +90,6 @@ fn consume_view<M>(view: &RoundView<'_, M>) -> usize {
     delivered
 }
 
-/// A faithful reproduction of the round loop as it was before the
-/// scratch/arena refactors: every round allocates fresh gather buffers,
-/// clones each frame twice (gather + record), and always builds the trace
-/// record. Retention semantics match `TraceRetention::LastRounds(k)`.
-mod baseline {
-    use super::*;
-
-    pub struct NaiveNetwork<M> {
-        channels: usize,
-        round: u64,
-        keep_last: usize,
-        pub records: VecDeque<RoundRecord<M>>,
-    }
-
-    impl<M: Clone> NaiveNetwork<M> {
-        pub fn new(channels: usize, keep_last: usize) -> Self {
-            NaiveNetwork {
-                channels,
-                round: 0,
-                keep_last,
-                records: VecDeque::new(),
-            }
-        }
-
-        pub fn resolve_round(
-            &mut self,
-            actions: &[Action<M>],
-            adversary: AdversaryAction<M>,
-        ) -> Vec<ChannelOutcome<M>> {
-            let c = self.channels;
-            let mut honest_tx: Vec<Vec<(NodeId, M)>> = vec![Vec::new(); c];
-            let mut listeners: Vec<(NodeId, ChannelId)> = Vec::new();
-            for (i, action) in actions.iter().enumerate() {
-                match action {
-                    Action::Transmit { channel, frame } => {
-                        honest_tx[channel.index()].push((NodeId(i), frame.clone()));
-                    }
-                    Action::Listen { channel } => listeners.push((NodeId(i), *channel)),
-                    Action::Sleep => {}
-                }
-            }
-            let mut adv_tx: Vec<Option<Emission<M>>> = vec![None; c];
-            for (ch, emission) in &adversary.transmissions {
-                adv_tx[ch.index()] = Some(emission.clone());
-            }
-
-            let mut outcomes: Vec<ChannelOutcome<M>> = Vec::with_capacity(c);
-            for ch in 0..c {
-                let honest = &honest_tx[ch];
-                let adv = &adv_tx[ch];
-                let outcome = match (honest.len(), adv) {
-                    (0, None) => ChannelOutcome::Idle,
-                    (0, Some(Emission::Noise)) => ChannelOutcome::NoiseOnly,
-                    (0, Some(Emission::Spoof(frame))) => ChannelOutcome::SpoofDelivered {
-                        frame: frame.clone(),
-                    },
-                    (1, None) => {
-                        let (from, frame) = honest[0].clone();
-                        ChannelOutcome::Delivered { from, frame }
-                    }
-                    _ => ChannelOutcome::Collision {
-                        honest: honest.iter().map(|&(id, _)| id).collect(),
-                        adversary: adv.is_some(),
-                    },
-                };
-                outcomes.push(outcome);
-            }
-
-            let delivered: Vec<Option<M>> = outcomes.iter().map(ChannelOutcome::heard).collect();
-            let mut transmissions = Vec::new();
-            for (ch, txs) in honest_tx.iter().enumerate() {
-                for (id, frame) in txs {
-                    transmissions.push((*id, ChannelId(ch), frame.clone()));
-                }
-            }
-            self.records.push_back(RoundRecord::from_parts(
-                self.round,
-                transmissions,
-                listeners,
-                adversary.transmissions,
-                delivered,
-            ));
-            while self.records.len() > self.keep_last {
-                self.records.pop_front();
-            }
-            self.round += 1;
-            outcomes
-        }
-    }
-}
-
 fn sample_size(full: usize) -> usize {
     if smoke() {
         3
@@ -192,8 +102,10 @@ fn bench_frame_kind<M: Clone + Debug + Send + 'static>(c: &mut Criterion, kind: 
     let mut group = c.benchmark_group(&format!("resolve_round/{kind}"));
     group.sample_size(sample_size(20));
 
-    // Pre-build the action schedule once; the engine sees &[Action<M>].
+    // Pre-build the action schedule once: one action per node for the
+    // reference, the node-sorted awake list for the engine.
     let schedule: Vec<Vec<Action<M>>> = (0..ROUNDS_PER_ITER).map(|r| actions(r, frame)).collect();
+    let awake: Vec<Vec<(NodeId, Action<M>)>> = schedule.iter().map(|a| awake_actions(a)).collect();
 
     // Each timed iteration is a self-contained unit — fresh network, then
     // ROUNDS_PER_ITER resolved rounds — so no variant accumulates state
@@ -201,9 +113,9 @@ fn bench_frame_kind<M: Clone + Debug + Send + 'static>(c: &mut Criterion, kind: 
     // distort later samples) and all variants stay comparable.
     group.bench_function("baseline_last64", |b| {
         b.iter(|| {
-            let mut net = baseline::NaiveNetwork::new(CHANNELS, 64);
+            let mut net = ReferenceNetwork::new(CHANNELS, TraceRetention::LastRounds(64));
             for (r, acts) in schedule.iter().enumerate() {
-                black_box(net.resolve_round(acts, adversary(r)));
+                black_box(net.resolve_round(acts, &adversary(r)));
             }
         })
     });
@@ -220,9 +132,9 @@ fn bench_frame_kind<M: Clone + Debug + Send + 'static>(c: &mut Criterion, kind: 
             b.iter(|| {
                 let mut net: Network<M> = Network::new(cfg.clone());
                 let mut delivered = 0usize;
-                for (r, acts) in schedule.iter().enumerate() {
+                for (r, acts) in awake.iter().enumerate() {
                     let adv = adversary(r);
-                    let view = net.resolve_round(acts, &adv).unwrap();
+                    let view = net.resolve_round_sparse(acts, &adv).unwrap();
                     delivered += consume_view(black_box(&view));
                 }
                 delivered
@@ -242,7 +154,9 @@ fn bench_arena<M: Clone + Debug + Send + 'static>(c: &mut Criterion, kind: &str,
     let mut group = c.benchmark_group(&format!("arena/{kind}"));
     group.sample_size(sample_size(20));
 
-    let schedule: Vec<Vec<Action<M>>> = (0..ROUNDS_PER_ITER).map(|r| actions(r, frame)).collect();
+    let schedule: Vec<Vec<(NodeId, Action<M>)>> = (0..ROUNDS_PER_ITER)
+        .map(|r| awake_actions(&actions(r, frame)))
+        .collect();
     let adversaries: Vec<AdversaryAction<M>> = (0..ROUNDS_PER_ITER).map(adversary).collect();
 
     for (label, retention, owned) in [
@@ -258,7 +172,7 @@ fn bench_arena<M: Clone + Debug + Send + 'static>(c: &mut Criterion, kind: &str,
                 let mut net: Network<M> = Network::new(cfg.clone());
                 let mut delivered = 0usize;
                 for (acts, adv) in schedule.iter().zip(&adversaries) {
-                    let view = net.resolve_round(acts, adv).unwrap();
+                    let view = net.resolve_round_sparse(acts, adv).unwrap();
                     if owned {
                         delivered += black_box(view.to_resolution())
                             .outcomes
@@ -294,8 +208,8 @@ fn bench_sinks<M: Clone + Debug + Send + 'static>(c: &mut Criterion, kind: &str,
     let mut group = c.benchmark_group(&format!("sinks/{kind}"));
     group.sample_size(sample_size(10));
 
-    let schedule: Vec<Vec<Action<M>>> = (0..SINK_ROUNDS_PER_ITER)
-        .map(|r| actions(r, frame))
+    let schedule: Vec<Vec<(NodeId, Action<M>)>> = (0..SINK_ROUNDS_PER_ITER)
+        .map(|r| awake_actions(&actions(r, frame)))
         .collect();
     let adversaries: Vec<AdversaryAction<M>> = (0..SINK_ROUNDS_PER_ITER).map(adversary).collect();
     let cfg = NetworkConfig::new(CHANNELS, BUDGET).unwrap();
@@ -338,7 +252,7 @@ fn bench_sinks<M: Clone + Debug + Send + 'static>(c: &mut Criterion, kind: &str,
                 for i in 0..SINK_ROUNDS_PER_ITER {
                     let slot = (round + i) % SINK_ROUNDS_PER_ITER;
                     let view = net
-                        .resolve_round(&schedule[slot], &adversaries[slot])
+                        .resolve_round_sparse(&schedule[slot], &adversaries[slot])
                         .unwrap();
                     black_box(view.round());
                 }
@@ -419,19 +333,21 @@ fn bench_sparse(c: &mut Criterion) {
         .unwrap()
         .with_retention(TraceRetention::None);
 
-    // Dense rows: one reusable n-slot action buffer, only the 24 active
-    // slots rewritten per round — the gather loop still walks all n.
+    // Dense rows: one reusable list of all n nodes (sleepers listed as
+    // explicit Sleep), only the 24 active slots rewritten per round — the
+    // gather loop still walks all n.
     for n in [10_000usize, 100_000] {
         group.bench_function(format!("dense_n{n}").as_str(), |b| {
             let mut net: Network<u64> = Network::new(cfg.clone());
-            let mut acts: Vec<Action<u64>> = vec![Action::Sleep; n];
+            let mut acts: Vec<(NodeId, Action<u64>)> =
+                (0..n).map(|i| (NodeId(i), Action::Sleep)).collect();
             b.iter(|| {
                 let mut delivered = 0usize;
                 for (r, adv) in adversaries.iter().enumerate() {
                     for (i, slot) in acts.iter_mut().enumerate().take(ACTIVE) {
-                        *slot = active_action(i, r);
+                        slot.1 = active_action(i, r);
                     }
-                    let view = net.resolve_round(&acts, adv).unwrap();
+                    let view = net.resolve_round_sparse(&acts, adv).unwrap();
                     delivered += consume_view(black_box(&view));
                 }
                 delivered
@@ -540,11 +456,11 @@ fn main() {
                 .map(|s| s.median_ns)
         };
         // The smoke-mode regression gate: the arena path with recycled
-        // bounded retention must never fall behind the pre-refactor
-        // baseline loop. The 1.0x threshold is deliberately loose (the
-        // steady-state gap is severalfold) so CI timing noise cannot trip
-        // it, while an accidental per-round allocation storm still fails
-        // the push loudly instead of silently drifting BENCH_engine.json.
+        // bounded retention must never fall behind the reference's naive
+        // loop. The 1.0x threshold is deliberately loose (the steady-state
+        // gap is severalfold) so CI timing noise cannot trip it, while an
+        // accidental per-round allocation storm still fails the push
+        // loudly instead of silently drifting BENCH_engine.json.
         for kind in ["u64", "vec256"] {
             if let (Some(naive), Some(arena)) = (
                 median(&format!("resolve_round/{kind}/baseline_last64")),
@@ -553,15 +469,16 @@ fn main() {
                 assert!(
                     arena <= naive,
                     "arena regression ({kind}): view_last64 {arena:.0} ns/round is slower than \
-                     the pre-refactor baseline {naive:.0} ns/round"
+                     the reference {naive:.0} ns/round"
                 );
             }
         }
         // The large-n sparse gate: at matched activity (24 awake nodes),
-        // the sparse entry point must never be slower than the dense one —
-        // the dense gather walks all n actions, the sparse one only the
-        // awake pairs, so the margin is ~n/activity and timing noise
-        // cannot close it unless the worklist machinery regresses badly.
+        // listing only the awake pairs must never be slower than listing
+        // every node — the dense gather walks all n actions, the sparse one
+        // only the awake pairs, so the margin is ~n/activity and timing
+        // noise cannot close it unless the worklist machinery regresses
+        // badly.
         for n in [10_000usize, 100_000] {
             if let (Some(dense), Some(sparse)) = (
                 median(&format!("sparse/u64/dense_n{n}")),
@@ -592,7 +509,7 @@ fn main() {
                 median(&format!("resolve_round/{kind}/engine_none")),
             ) {
                 println!(
-                    "{kind}: baseline {naive:.0} ns/round -> retention-none engine \
+                    "{kind}: reference {naive:.0} ns/round -> retention-none engine \
                      {lean:.0} ns/round ({:.2}x)",
                     naive / lean
                 );
@@ -603,7 +520,7 @@ fn main() {
                 median(&format!("arena/{kind}/view_none")),
             ) {
                 println!(
-                    "{kind} arena: retention-on view {view:.0} ns/round ({:.2}x vs baseline), \
+                    "{kind} arena: retention-on view {view:.0} ns/round ({:.2}x vs reference), \
                      zero-alloc view {none:.0} ns/round ({:.2}x)",
                     naive / view,
                     naive / none
@@ -629,8 +546,8 @@ fn main() {
                 median(&format!("sparse/u64/sparse_n{n}")),
             ) {
                 println!(
-                    "sparse engine n={n} @{ACTIVE} active: dense {dense:.0} ns/round -> \
-                     sparse {sparse:.0} ns/round ({:.1}x)",
+                    "engine n={n} @{ACTIVE} active: every node listed {dense:.0} ns/round -> \
+                     awake only {sparse:.0} ns/round ({:.1}x)",
                     dense / sparse
                 );
             }

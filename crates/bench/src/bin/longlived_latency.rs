@@ -59,9 +59,6 @@ fn main() {
     if shard.handle_merge("longlived_latency") {
         return;
     }
-    if shard.handle_exec("longlived_latency") {
-        return;
-    }
     let trace = TraceOutput::from_args();
     let trials = smoke_trials(4);
     let broadcasts: u64 = if smoke() { 5 } else { 20 };
@@ -149,15 +146,12 @@ fn main() {
                         let mut missed = 0u64;
                         let mut total = 0u64;
                         for entry in &entries {
-                            for (node, received) in r.received.iter().enumerate() {
+                            for (node, log) in r.accepts.iter().enumerate() {
                                 if node == entry.sender {
                                     continue;
                                 }
                                 total += 1;
-                                let got = received.get(&entry.eround);
-                                if got
-                                    .is_none_or(|(s, m)| *s != entry.sender || *m != entry.message)
-                                {
+                                if !log.iter().any(|a| a.matches(entry)) {
                                     missed += 1;
                                 }
                             }

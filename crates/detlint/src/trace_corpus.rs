@@ -5,7 +5,7 @@
 //! lines that are not canonical `record_line` output.
 //!
 //! This is the cheap per-push check; the full re-execution (every trace
-//! re-driven through `ScriptedAdversary` on both engines under
+//! re-driven through `ScriptedAdversary` under both replay drivers with
 //! `--expect-identical`) lives in the CI `trace-replay` job.
 
 use crate::rules::Finding;

@@ -61,10 +61,11 @@ fn decode(bytes: &[u8]) -> Option<(usize, u64, Vec<u8>)> {
 
 /// One accepted broadcast, as the accepting node logged it: which
 /// physical `round` the frame landed in, which emulated round it
-/// belonged to, and who sent it. The physical round is what delivery
-/// *latency* means for a long-lived session — rounds elapsed between the
-/// start of the emulated round (`eround * epoch_len`) and acceptance.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// belonged to, who sent it, and what it said. The physical round is
+/// what delivery *latency* means for a long-lived session — rounds
+/// elapsed between the start of the emulated round (`eround *
+/// epoch_len`) and acceptance.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Accept {
     /// Physical round the frame was accepted in.
     pub round: u64,
@@ -72,6 +73,16 @@ pub struct Accept {
     pub eround: u64,
     /// Broadcasting node.
     pub sender: usize,
+    /// The accepted plaintext message.
+    pub message: Vec<u8>,
+}
+
+impl Accept {
+    /// `true` when this acceptance is exactly the scripted broadcast
+    /// `entry`: same emulated round, sender, and message.
+    pub fn matches(&self, entry: &ScriptEntry) -> bool {
+        self.eround == entry.eround && self.sender == entry.sender && self.message == entry.message
+    }
 }
 
 /// A participant in the emulated channel.
@@ -86,11 +97,10 @@ pub struct LongLivedNode {
     rekeys: BTreeMap<u64, SymmetricKey>,
     epoch_len: u64,
     emulated_rounds: u64,
-    /// Accepted broadcasts: emulated round -> (sender, message).
-    received: BTreeMap<u64, (usize, Vec<u8>)>,
-    /// Acceptance log, in order, one entry per accepted broadcast.
-    /// Pre-sized to the session horizon so steady-state pushes never
-    /// reallocate (at most one acceptance per emulated round).
+    /// Acceptance log, one entry per accepted broadcast, strictly
+    /// increasing in emulated round (at most one acceptance per emulated
+    /// round). Pre-sized to the session horizon so pushes never
+    /// reallocate.
     accepts: Vec<Accept>,
     round: u64,
 }
@@ -113,7 +123,6 @@ impl LongLivedNode {
             script,
             rekeys: BTreeMap::new(),
             emulated_rounds,
-            received: BTreeMap::new(),
             accepts: Vec::with_capacity(emulated_rounds as usize),
             round: 0,
         }
@@ -130,14 +139,10 @@ impl LongLivedNode {
         self
     }
 
-    /// Broadcasts accepted so far.
-    pub fn received(&self) -> &BTreeMap<u64, (usize, Vec<u8>)> {
-        &self.received
-    }
-
-    /// The in-order acceptance log (see [`Accept`]). Grows by at most one
-    /// entry per emulated round; the gateway drains it incrementally with
-    /// a cursor to build per-session delivery transcripts.
+    /// The acceptance log (see [`Accept`]), ordered by emulated round.
+    /// Grows by at most one entry per emulated round; the gateway drains
+    /// it incrementally with a cursor to build per-session delivery
+    /// transcripts.
     pub fn accepts(&self) -> &[Accept] {
         &self.accepts
     }
@@ -186,28 +191,33 @@ impl Protocol for LongLivedNode {
     }
 
     fn end_round(&mut self, round: u64, reception: Option<Reception<&SealedBox>>) {
+        let e = self.current_eround();
+        // The log is ordered by emulated round, so "already accepted this
+        // emulated round" is a check on its last entry — the cheapest
+        // test, run before any MAC or decryption work.
+        let accepted = self.accepts.last().is_some_and(|a| a.eround == e);
         if let (
+            false,
             Some(key),
             Some(Reception {
                 frame: Some(sealed),
                 ..
             }),
-        ) = (&self.key, &reception)
+        ) = (accepted, &self.key, &reception)
         {
-            let e = self.current_eround();
             // Authentication: MAC must verify under K *and* the frame must
             // belong to this emulated round (nonce binding stops replays).
             if sealed.nonce == e {
-                if let Some(plain) = sealed.open(key) {
-                    if let Some((sender, eround, message)) = decode(&plain) {
-                        if eround == e && !self.received.contains_key(&e) {
-                            self.accepts.push(Accept {
-                                round,
-                                eround: e,
-                                sender,
-                            });
-                            self.received.insert(e, (sender, message));
-                        }
+                if let Some((sender, eround, message)) =
+                    sealed.open(key).and_then(|plain| decode(&plain))
+                {
+                    if eround == e {
+                        self.accepts.push(Accept {
+                            round,
+                            eround: e,
+                            sender,
+                            message,
+                        });
                     }
                 }
             }
@@ -237,8 +247,9 @@ impl Protocol for LongLivedNode {
 /// Outcome of a long-lived session.
 #[derive(Clone, Debug)]
 pub struct LongLivedReport {
-    /// Per node: accepted broadcasts.
-    pub received: Vec<BTreeMap<u64, (usize, Vec<u8>)>>,
+    /// Per node: the acceptance log, ordered by emulated round (see
+    /// [`LongLivedNode::accepts`]).
+    pub accepts: Vec<Vec<Accept>>,
     /// Physical rounds executed.
     pub rounds: u64,
     /// Physical rounds per emulated round.
@@ -257,12 +268,12 @@ impl LongLivedReport {
         let mut ok = 0usize;
         let mut all = 0usize;
         for entry in script {
-            for (node, received) in self.received.iter().enumerate() {
+            for (node, log) in self.accepts.iter().enumerate() {
                 if node == entry.sender || !holders[node] {
                     continue;
                 }
                 all += 1;
-                if received.get(&entry.eround) == Some(&(entry.sender, entry.message.clone())) {
+                if log.iter().any(|a| a.matches(entry)) {
                     ok += 1;
                 }
             }
@@ -328,6 +339,54 @@ where
 /// for its trace-mining adversaries (rounds).
 pub const LONGLIVED_TRACE_WINDOW: usize = 8;
 
+/// Emulated rounds a session lasts: `max(horizon, last scripted eround +
+/// 1)`.
+fn session_length(script: &[ScriptEntry], horizon: u64) -> u64 {
+    script
+        .iter()
+        .map(|e| e.eround + 1)
+        .max()
+        .unwrap_or(0)
+        .max(horizon)
+}
+
+/// The nodes of one session, as every driver of a session assembles
+/// them ([`LongLivedSession::open`], the gateway, and trace replay): node
+/// `v` gets key `keys[v]` and its own scripted broadcasts, every keyed
+/// node carries the `rekeys` schedule (see [`LongLivedNode::with_rekeys`]),
+/// and all nodes run for `max(horizon, last scripted eround + 1)`
+/// emulated rounds.
+///
+/// # Panics
+///
+/// Panics when `keys` and `params.n()` disagree (a configuration bug).
+pub fn session_nodes(
+    params: &Params,
+    keys: &[Option<SymmetricKey>],
+    script: &[ScriptEntry],
+    rekeys: &[(u64, SymmetricKey)],
+    horizon: u64,
+) -> Vec<LongLivedNode> {
+    assert_eq!(keys.len(), params.n(), "one key slot per node");
+    let emulated_rounds = session_length(script, horizon);
+    let rekey_map: BTreeMap<u64, SymmetricKey> = rekeys.iter().copied().collect();
+    (0..params.n())
+        .map(|id| {
+            let my_script: BTreeMap<u64, Vec<u8>> = script
+                .iter()
+                .filter(|e| e.sender == id)
+                .map(|e| (e.eround, e.message.clone()))
+                .collect();
+            let node = LongLivedNode::new(id, params.clone(), keys[id], my_script, emulated_rounds);
+            if keys[id].is_some() {
+                node.with_rekeys(rekey_map.clone())
+            } else {
+                node
+            }
+        })
+        .collect()
+}
+
 /// An open long-lived session as a *steppable handle*: the same network,
 /// nodes, and drive order as [`run_longlived`], but advanced one physical
 /// round at a time by the caller instead of run-to-completion. This is
@@ -376,13 +435,7 @@ impl<A: Adversary<SealedBox>> LongLivedSession<A> {
         retention: TraceRetention,
         sink: Option<Box<dyn TraceSink<SealedBox>>>,
     ) -> Result<Self, EngineError> {
-        assert_eq!(keys.len(), params.n(), "one key slot per node");
-        let emulated_rounds = script
-            .iter()
-            .map(|e| e.eround + 1)
-            .max()
-            .unwrap_or(0)
-            .max(horizon);
+        let nodes = session_nodes(params, keys, script, rekeys, horizon);
         for entry in script {
             assert!(
                 keys[entry.sender].is_some(),
@@ -393,23 +446,6 @@ impl<A: Adversary<SealedBox>> LongLivedSession<A> {
         let cfg = NetworkConfig::new(params.c(), params.t())?
             .with_channel_model(params.channel_model().clone())
             .with_retention(retention);
-        let rekey_map: BTreeMap<u64, SymmetricKey> = rekeys.iter().copied().collect();
-        let nodes: Vec<LongLivedNode> = (0..params.n())
-            .map(|id| {
-                let my_script: BTreeMap<u64, Vec<u8>> = script
-                    .iter()
-                    .filter(|e| e.sender == id)
-                    .map(|e| (e.eround, e.message.clone()))
-                    .collect();
-                let node =
-                    LongLivedNode::new(id, params.clone(), keys[id], my_script, emulated_rounds);
-                if keys[id].is_some() {
-                    node.with_rekeys(rekey_map.clone())
-                } else {
-                    node
-                }
-            })
-            .collect();
         let sim = match sink {
             Some(sink) => Simulation::with_sink(cfg, nodes, adversary, seed, sink)?,
             None => Simulation::new(cfg, nodes, adversary, seed)?,
@@ -417,7 +453,7 @@ impl<A: Adversary<SealedBox>> LongLivedSession<A> {
         Ok(LongLivedSession {
             sim,
             epoch_len: params.epoch_rounds(),
-            total: emulated_rounds * params.epoch_rounds(),
+            total: session_length(script, horizon) * params.epoch_rounds(),
             rounds: 0,
         })
     }
@@ -456,7 +492,7 @@ impl<A: Adversary<SealedBox>> LongLivedSession<A> {
         self.total
     }
 
-    /// The nodes, for reading acceptance logs and received broadcasts.
+    /// The nodes, for reading their acceptance logs.
     pub fn nodes(&self) -> &[LongLivedNode] {
         self.sim.nodes()
     }
@@ -476,11 +512,11 @@ impl<A: Adversary<SealedBox>> LongLivedSession<A> {
         self.rounds = report.rounds;
         let trace = keep_trace.then(|| self.sim.trace().clone());
         Ok(LongLivedReport {
-            received: self
+            accepts: self
                 .sim
                 .nodes()
                 .iter()
-                .map(|n| n.received().clone())
+                .map(|n| n.accepts().to_vec())
                 .collect(),
             rounds: report.rounds,
             epoch_len: self.epoch_len,
@@ -607,8 +643,8 @@ mod tests {
         let p = params();
         let ks = keys(&p, &[0, 1]);
         let report = run_longlived(&p, &ks, &script(), NoAdversary, 5, false).unwrap();
-        assert!(report.received[0].is_empty());
-        assert!(report.received[1].is_empty());
+        assert!(report.accepts[0].is_empty());
+        assert!(report.accepts[1].is_empty());
     }
 
     #[test]
@@ -620,12 +656,14 @@ mod tests {
             SealedBox::seal(&wrong_key, round / 74, &encode(3, round / 74, b"FORGED"))
         });
         let report = run_longlived(&p, &ks, &script(), spoofer, 5, false).unwrap();
-        for (node, received) in report.received.iter().enumerate() {
-            for (e, (sender, message)) in received {
-                let genuine = script()
-                    .iter()
-                    .any(|s| s.eround == *e && s.sender == *sender && &s.message == message);
-                assert!(genuine, "node {node} accepted a forged frame at {e}");
+        for (node, log) in report.accepts.iter().enumerate() {
+            for a in log {
+                let genuine = script().iter().any(|s| a.matches(s));
+                assert!(
+                    genuine,
+                    "node {node} accepted a forged frame at {}",
+                    a.eround
+                );
             }
         }
     }

@@ -3,7 +3,7 @@
 //!
 //! The paper's long-lived emulation (Section 7, [`fame::longlived`]) is
 //! the piece meant to run *forever under load*. A single session is
-//! cheap — the sparse engine resolves a round in O(active) with zero
+//! cheap — the engine resolves a round in O(active) with zero
 //! steady-state allocations — so the remaining throughput ceiling is
 //! multiplexing **many** sessions across cores. This crate is that
 //! serving layer:
@@ -20,9 +20,11 @@
 //!   lossless, `DropNewest` sheds load with **per-session** counted
 //!   drops surfaced in the report.
 //! * **Batched ticking** — each worker advances all its live sessions by
-//!   one physical round per tick through the sparse round resolver; the
-//!   steady-state tick path is allocation-free (pinned by a
-//!   counting-allocator test and a `detlint` deny-alloc region).
+//!   one physical round per tick through the engine's round entry point.
+//!   A listen-only epoch ticks with no allocator calls (pinned by a
+//!   counting-allocator test; the tick loop is a `detlint` deny-alloc
+//!   region); sealing a broadcast and opening its first valid copy in an
+//!   emulated round still allocate (`docs/SERVICE.md`).
 //!
 //! ```rust
 //! use gateway::{serve, workload, ServiceConfig};

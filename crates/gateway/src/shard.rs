@@ -1,5 +1,5 @@
 //! One worker's shard: the sessions it owns, their admission state, and
-//! the batched, allocation-free tick that advances them.
+//! the batched tick that advances them.
 
 use fame::longlived::{LongLivedSession, ScriptEntry};
 use fame::Params;
@@ -226,11 +226,12 @@ impl WorkerShard {
     /// Advance every live session by one physical round and drain the
     /// new acceptances into the per-session transcripts.
     ///
-    /// This is the gateway's hot path: between warm-up and session
-    /// retirement it performs **zero heap allocations** (pinned by
-    /// `tests/zero_alloc.rs`; the sparse engine round, the stack-buffer
-    /// PRF hop, the cursor drain, and the pre-sized transcript pushes
-    /// all stay off the allocator).
+    /// This is the gateway's hot path. Over a listen-only epoch it makes
+    /// no allocator calls (pinned by `tests/zero_alloc.rs`: the engine
+    /// round, the stack-buffer PRF hop, the cursor drain, and the
+    /// pre-sized transcript pushes). A broadcasting round allocates in
+    /// `fame::longlived`: the sender seals its frame, and each listener
+    /// opens and decodes its first valid copy of the emulated round.
     ///
     /// # Errors
     ///
@@ -249,7 +250,7 @@ impl WorkerShard {
                 let log = node.accepts();
                 let cursor = &mut slot.cursors[node_idx];
                 while *cursor < log.len() {
-                    let a = log[*cursor];
+                    let a = &log[*cursor];
                     slot.transcript.push(Delivery {
                         node: node_idx,
                         sender: a.sender,

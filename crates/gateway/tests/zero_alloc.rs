@@ -1,9 +1,10 @@
-//! Counting-allocator proof of the gateway's headline claim: after the
-//! opening epoch has warmed every buffer, **a multi-session steady-state
-//! tick performs zero heap allocations** — the sparse engine round, the
-//! stack-buffer PRF channel hop, the acceptance-cursor drain, and the
-//! pre-sized transcript pushes all stay off the allocator, across every
-//! live session the shard owns.
+//! Counting-allocator proof of the gateway's listen-only claim: after the
+//! opening (broadcasting) epoch has warmed every buffer, **a multi-session
+//! tick over a listen-only epoch performs zero heap allocations** — the
+//! engine round, the stack-buffer PRF channel hop, the acceptance-cursor
+//! drain, and the pre-sized transcript pushes all stay off the allocator,
+//! across every live session the shard owns. Broadcasting rounds are
+//! outside the window: sealing and a listener's first open allocate.
 //!
 //! The file holds exactly one `#[test]` so no sibling test can allocate
 //! on another thread inside a measurement window (the same discipline as

@@ -68,18 +68,21 @@ use rand::RngCore;
 mod tests {
     use super::*;
     use crate::engine::{Network, NetworkConfig};
-    use crate::node::Action;
+    use crate::node::{Action, NodeId};
 
     #[test]
     fn targets_the_busy_channel() {
         let cfg = NetworkConfig::new(4, 1).unwrap();
         let mut net: Network<u8> = Network::new(cfg);
         // Round 0: node 0 transmits on channel 2; nobody jams yet.
-        net.resolve_round(
-            &[Action::Transmit {
-                channel: ChannelId(2),
-                frame: 1,
-            }],
+        net.resolve_round_sparse(
+            &[(
+                NodeId(0),
+                Action::Transmit {
+                    channel: ChannelId(2),
+                    frame: 1,
+                },
+            )],
             &AdversaryAction::idle(),
         )
         .unwrap();

@@ -2,9 +2,10 @@
 //!
 //! ## The arena-backed round core
 //!
-//! [`Network::resolve_round`] is the innermost loop of every experiment —
-//! an f-AME epoch is millions of tiny rounds — so its steady state must
-//! not touch the allocator. All per-round state lives in a [`RoundArena`]
+//! [`Network::resolve_round_sparse`] — the engine's one round entry
+//! point — is the innermost loop of every experiment (an f-AME epoch is
+//! millions of tiny rounds), so its steady state must not touch the
+//! allocator. All per-round state lives in a [`RoundArena`]
 //! owned by the network and reused across rounds:
 //!
 //! * honest transmissions are gathered into a flat arena (`tx_node` /
@@ -16,7 +17,7 @@
 //!   channel?" is an O(1) span lookup;
 //! * per-channel outcomes are compact [`ChannelSlot`] tags; frames are
 //!   *not* copied into the arena — they are borrowed from the caller's
-//!   action storage and adversary action through the returned
+//!   action list and adversary action through the returned
 //!   [`RoundView`];
 //! * when the installed [`TraceSink`] keeps records, the
 //!   [`RoundRecord`] is built in a **record arena** (one `RoundRecord`
@@ -34,11 +35,16 @@
 //! iterate only the (sorted) worklist. Channels never touched this round
 //! are never read or written — their stale spans/slots are fenced off by
 //! the epoch stamp — so a round over a million idle channels costs the
-//! same as a round over ten. [`Network::resolve_round_sparse`] extends
-//! the same contract to the *population*: it accepts only the actions of
-//! awake nodes as sorted `(NodeId, Action)` pairs, making round cost
-//! independent of `n` as well (the [`Simulation`](crate::Simulation)
-//! driver's wake-queue feeds it).
+//! same as a round over ten. The same contract extends to the
+//! *population*: the engine takes only the actions of awake nodes, as
+//! node-sorted `(NodeId, Action)` pairs, so round cost is independent of
+//! `n` as well (the [`Simulation`](crate::Simulation) driver's wake-queue
+//! feeds it; [`testing::awake_actions`](crate::testing::awake_actions)
+//! builds the list from one action per node).
+//!
+//! [`testing::ReferenceNetwork`](crate::testing::ReferenceNetwork) is the
+//! one independent, deliberately naive copy of the round rule; the
+//! equivalence property tests hold this engine to it.
 //!
 //! The result: with retention off (or a [`NullSink`]) a steady-state round
 //! performs **zero** heap allocations (verified by the counting-allocator
@@ -215,33 +221,13 @@ enum ChannelSlot {
     Collision { adversary: bool },
 }
 
-/// The caller's action storage, dense (`actions[i]` = node `i`) or sparse
-/// (node-sorted `(NodeId, Action)` pairs of awake nodes only). The arena
-/// stores per-transmission *source indices* into this storage, so frame
-/// lookups stay O(1) on both paths.
-#[derive(Debug)]
-enum ActionsRef<'a, M> {
-    /// One action per node, indexed by node id.
-    Dense(&'a [Action<M>]),
-    /// Only the awake nodes' actions, sorted by node id.
-    Sparse(&'a [(NodeId, Action<M>)]),
-}
-
-impl<M> Clone for ActionsRef<'_, M> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<M> Copy for ActionsRef<'_, M> {}
-
-impl<'a, M> ActionsRef<'a, M> {
-    #[inline]
-    fn get(&self, src: u32) -> &'a Action<M> {
-        match self {
-            ActionsRef::Dense(actions) => &actions[src as usize],
-            ActionsRef::Sparse(pairs) => &pairs[src as usize].1,
-        }
+/// The frame of the gathered transmission whose index in the caller's
+/// action list is `src` (the arena's `tx_src`).
+#[inline]
+fn tx_frame<M>(actions: &[(NodeId, Action<M>)], src: u32) -> &M {
+    match &actions[src as usize].1 {
+        Action::Transmit { frame, .. } => frame,
+        _ => unreachable!("gathered transmissions come from Transmit actions"),
     }
 }
 
@@ -260,16 +246,14 @@ struct RoundArena<M> {
     /// Per channel: the epoch that last touched it.
     touched: Vec<u64>,
     /// The worklist: channels touched this round (sorted ascending once
-    /// gathering completes, so worklist iteration is channel-major like
-    /// the dense `0..C` loop it replaces).
+    /// gathering completes, so worklist iteration is channel-major).
     active: Vec<u32>,
     /// Transmitting node ids, in gather (= node) order.
     tx_node: Vec<u32>,
     /// Channel of each transmission (parallel to `tx_node`).
     tx_chan: Vec<u32>,
-    /// Index of each transmission into the caller's action storage
-    /// (parallel to `tx_node`; equals the node id on the dense path, the
-    /// pair index on the sparse path).
+    /// Index of each transmission into the caller's action list
+    /// (parallel to `tx_node`).
     tx_src: Vec<u32>,
     /// Channel-grouped permutation: indices into the transmission arrays,
     /// sorted by (channel, gather order) via a stable counting sort.
@@ -377,11 +361,11 @@ impl<M> RoundArena<M> {
 }
 
 /// A borrowed view of one resolved round — the allocation-free return
-/// shape of [`Network::resolve_round`].
+/// shape of [`Network::resolve_round_sparse`].
 ///
 /// The view borrows three things for its lifetime: the network's
 /// round arena (outcome tags, spans, listeners), the caller's action
-/// storage (honest frames), and the adversary action (spoofed frames).
+/// list (honest frames), and the adversary action (spoofed frames).
 /// Nothing is copied; [`RoundView::heard_on`] and the outcome iterators
 /// hand out `&M`. Call [`RoundView::to_resolution`] for the owned
 /// [`RoundResolution`] escape hatch.
@@ -389,7 +373,7 @@ impl<M> RoundArena<M> {
 pub struct RoundView<'a, M> {
     round: u64,
     arena: &'a RoundArena<M>,
-    actions: ActionsRef<'a, M>,
+    actions: &'a [(NodeId, Action<M>)],
     adversary: &'a AdversaryAction<M>,
     model: &'a dyn ChannelModel,
     model_seed: u64,
@@ -437,7 +421,7 @@ pub enum OutcomeView<'a, M> {
     Delivered {
         /// The transmitting node.
         from: NodeId,
-        /// The delivered frame (borrowed from the caller's action storage).
+        /// The delivered frame (borrowed from the caller's action list).
         frame: &'a M,
     },
     /// The adversary spoofed an otherwise idle channel.
@@ -475,7 +459,7 @@ pub struct Participants<'a, M> {
     span: &'a [u32],
     tx_node: &'a [u32],
     tx_src: &'a [u32],
-    actions: ActionsRef<'a, M>,
+    actions: &'a [(NodeId, Action<M>)],
 }
 
 impl<'a, M> Participants<'a, M> {
@@ -502,11 +486,10 @@ impl<'a, M> Participants<'a, M> {
     pub fn frames(&self) -> impl Iterator<Item = (NodeId, &'a M)> + 'a {
         let (tx_node, tx_src, actions) = (self.tx_node, self.tx_src, self.actions);
         self.span.iter().map(move |&tx| {
-            let node = NodeId(tx_node[tx as usize] as usize);
-            match actions.get(tx_src[tx as usize]) {
-                Action::Transmit { frame, .. } => (node, frame),
-                _ => unreachable!("gathered transmissions come from Transmit actions"),
-            }
+            (
+                NodeId(tx_node[tx as usize] as usize),
+                tx_frame(actions, tx_src[tx as usize]),
+            )
         })
     }
 }
@@ -539,10 +522,7 @@ impl<'a, M> RoundView<'a, M> {
     pub fn heard_on(&self, channel: ChannelId) -> Option<&'a M> {
         match self.slot(channel.index()) {
             ChannelSlot::Delivered { tx } => {
-                match self.actions.get(self.arena.tx_src[tx as usize]) {
-                    Action::Transmit { frame, .. } => Some(frame),
-                    _ => unreachable!("delivered slot points at a Transmit action"),
-                }
+                Some(tx_frame(self.actions, self.arena.tx_src[tx as usize]))
             }
             ChannelSlot::Spoof { adv } => match &self.adversary.transmissions[adv as usize].1 {
                 Emission::Spoof(frame) => Some(frame),
@@ -569,10 +549,7 @@ impl<'a, M> RoundView<'a, M> {
             ListenerOutcome::Nothing => None,
             ListenerOutcome::Honest { idx } => {
                 let tx = ctx.transmitters.tx(idx);
-                match self.actions.get(self.arena.tx_src[tx as usize]) {
-                    Action::Transmit { frame, .. } => Some(frame),
-                    _ => unreachable!("transmitter span points at Transmit actions"),
-                }
+                Some(tx_frame(self.actions, self.arena.tx_src[tx as usize]))
             }
             ListenerOutcome::Adversary => {
                 let adv = if self.arena.is_touched(ch) {
@@ -706,7 +683,8 @@ impl<M: Clone> RoundView<'_, M> {
 ///
 /// `Network` is deliberately free of nodes and adversaries — it is a pure
 /// referee. Use [`Simulation`](crate::Simulation) to drive full protocol
-/// stacks, or call [`Network::resolve_round`] directly in unit tests.
+/// stacks, or call [`Network::resolve_round_sparse`] directly in unit
+/// tests.
 #[derive(Debug)]
 pub struct Network<M> {
     cfg: NetworkConfig,
@@ -759,7 +737,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
     /// `0..n`), so a run is reproducible from its seed alone and
     /// per-node streams never collide with the model's. The default of
     /// `0` is fine for ideal (seed-free) rounds and for direct
-    /// [`Network::resolve_round`] use in tests.
+    /// [`Network::resolve_round_sparse`] use in tests.
     pub fn seed_channel_model(&mut self, seed: u64) {
         self.model_seed = seed;
     }
@@ -812,9 +790,12 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
         self.cfg = cfg;
     }
 
-    /// Resolve one round given every honest action and the adversary's move.
+    /// Resolve one round given the actions of the **awake** nodes, as
+    /// `(node, action)` pairs sorted strictly ascending by node id, and
+    /// the adversary's move — the engine's one round entry point, fed by
+    /// the [`Simulation`](crate::Simulation) wake-queue.
     ///
-    // detlint: deny-alloc(start) round resolution (resolve_round / resolve_round_sparse / gather_one / finish)
+    // detlint: deny-alloc(start) round resolution (resolve_round_sparse / gather_one / finish)
     //
     // The static complement of tests/zero_alloc.rs: a steady-state round
     // with retention off must not allocate, and with the recycled
@@ -822,62 +803,16 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
     // carrying its own allow) may. Scratch vectors reuse capacity;
     // `resize`/`push` on them is growth to the high-water mark, not a
     // per-round cost.
-    /// `actions[i]` is the action of node `i`. Returns a borrowed
-    /// [`RoundView`] over per-channel outcomes; the caller distributes
-    /// receptions to listeners (or uses [`Simulation`](crate::Simulation)
-    /// which does so automatically). The view borrows `actions` and
-    /// `adversary` alongside the network — materialize with
-    /// [`RoundView::to_resolution`] if the round must outlive them.
-    ///
-    /// # Errors
-    ///
-    /// * [`EngineError::ChannelOutOfRange`] /
-    ///   [`EngineError::AdversaryChannelOutOfRange`] on bad channels;
-    /// * [`EngineError::AdversaryBudgetExceeded`] if the adversary used more
-    ///   than `t` channels;
-    /// * [`EngineError::AdversaryDuplicateChannel`] if it listed one channel
-    ///   twice.
-    pub fn resolve_round<'a>(
-        &'a mut self,
-        actions: &'a [Action<M>],
-        adversary: &'a AdversaryAction<M>,
-    ) -> Result<RoundView<'a, M>, EngineError> {
-        let c = self.cfg.channels();
-        self.arena.begin(c);
-
-        // -- gather + validate honest actions in one pass ------------------
-        // A validation failure may leave the arena partially filled: it is
-        // scratch, fully invalidated by the next round's `begin` (epoch
-        // bump), and no stats, round counter, or sink effect has happened
-        // yet. Honest-channel errors stay detected before the adversary
-        // checks in `finish`, exactly as the two-pass validation ordered
-        // them.
-        for (i, action) in actions.iter().enumerate() {
-            self.gather_one(i, i, action, c)?;
-        }
-
-        let round = self.round;
-        self.finish(ActionsRef::Dense(actions), adversary)?;
-        Ok(RoundView {
-            round,
-            arena: &self.arena,
-            actions: ActionsRef::Dense(actions),
-            adversary,
-            model: self.model.as_ref(),
-            model_seed: self.model_seed,
-        })
-    }
-
-    /// Resolve one round given only the actions of **awake** nodes, as
-    /// `(node, action)` pairs sorted strictly ascending by node id — the
-    /// O(active) sibling of [`Network::resolve_round`] fed by the
-    /// [`Simulation`](crate::Simulation) wake-queue.
-    ///
     /// Every node absent from `actions` is treated exactly as if it had
-    /// submitted [`Action::Sleep`]: given the same awake set, this path
-    /// is bit-identical to the dense one (outcomes, stats, trace records
-    /// — `tests/arena_equivalence.rs` pins it), but its cost is
-    /// proportional to `actions.len()` rather than the population.
+    /// submitted [`Action::Sleep`], so round cost is proportional to
+    /// `actions.len()` rather than the population; listing a sleeper
+    /// explicitly is allowed and changes nothing but the gather cost.
+    /// Returns a borrowed [`RoundView`] over per-channel outcomes; the
+    /// caller distributes receptions to listeners (or uses
+    /// [`Simulation`](crate::Simulation), which does so automatically).
+    /// The view borrows `actions` and `adversary` alongside the network —
+    /// materialize with [`RoundView::to_resolution`] if the round must
+    /// outlive them.
     ///
     /// # Panics
     ///
@@ -887,7 +822,12 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
     ///
     /// # Errors
     ///
-    /// Same as [`Network::resolve_round`].
+    /// * [`EngineError::ChannelOutOfRange`] /
+    ///   [`EngineError::AdversaryChannelOutOfRange`] on bad channels;
+    /// * [`EngineError::AdversaryBudgetExceeded`] if the adversary used more
+    ///   than `t` channels;
+    /// * [`EngineError::AdversaryDuplicateChannel`] if it listed one channel
+    ///   twice.
     pub fn resolve_round_sparse<'a>(
         &'a mut self,
         actions: &'a [(NodeId, Action<M>)],
@@ -900,16 +840,22 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
         let c = self.cfg.channels();
         self.arena.begin(c);
 
+        // -- gather + validate honest actions in one pass ------------------
+        // A validation failure may leave the arena partially filled: it is
+        // scratch, fully invalidated by the next round's `begin` (epoch
+        // bump), and no stats, round counter, or sink effect has happened
+        // yet. Honest-channel errors are detected before the adversary
+        // checks in `finish`.
         for (src, (node, action)) in actions.iter().enumerate() {
             self.gather_one(node.index(), src, action, c)?;
         }
 
         let round = self.round;
-        self.finish(ActionsRef::Sparse(actions), adversary)?;
+        self.finish(actions, adversary)?;
         Ok(RoundView {
             round,
             arena: &self.arena,
-            actions: ActionsRef::Sparse(actions),
+            actions,
             adversary,
             model: self.model.as_ref(),
             model_seed: self.model_seed,
@@ -919,7 +865,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
     /// Gather one honest action into the arena: validate its channel,
     /// touch the channel onto the worklist, and append to the flat
     /// transmission/listener buffers. `src` is the action's index in the
-    /// caller's storage (= `node` on the dense path).
+    /// caller's action list.
     #[inline]
     fn gather_one(
         &mut self,
@@ -969,7 +915,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
     /// every per-channel step iterating the active worklist only.
     fn finish(
         &mut self,
-        actions: ActionsRef<'_, M>,
+        actions: &[(NodeId, Action<M>)],
         adversary: &AdversaryAction<M>,
     ) -> Result<(), EngineError> {
         let c = self.cfg.channels();
@@ -999,8 +945,8 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
         }
 
         // Channel-major worklist order: iterating the sorted active list
-        // visits channels exactly as the dense `0..C` loops did, so span
-        // layout, records, and stats are bit-identical to the dense path.
+        // visits channels in ascending order, so span layout, records, and
+        // stats do not depend on which channel was touched first.
         self.arena.active.sort_unstable();
 
         // -- group by channel: spans + stable counting-sort permutations ---
@@ -1224,11 +1170,9 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
                     record
                         .tx_channels
                         .push(ChannelId(tx_chan[tx as usize] as usize));
-                    match actions.get(tx_src[tx as usize]) {
-                        // detlint: allow(deny-alloc) retention cost: frame clone into the capacity-reusing record arena; free for Copy frames (zero_alloc.rs pins it)
-                        Action::Transmit { frame, .. } => record.tx_frames.push(frame.clone()),
-                        _ => unreachable!("gathered transmissions come from Transmit actions"),
-                    }
+                    let frame = tx_frame(actions, tx_src[tx as usize]);
+                    // detlint: allow(deny-alloc) retention cost: frame clone into the capacity-reusing record arena; free for Copy frames (zero_alloc.rs pins it)
+                    record.tx_frames.push(frame.clone());
                 }
                 record.listener_nodes.clear();
                 record.listener_channels.clear();
@@ -1249,14 +1193,12 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
                 record.delivered_frames.clear();
                 for &ch in active.iter() {
                     match slots[ch as usize] {
-                        ChannelSlot::Delivered { tx } => match actions.get(tx_src[tx as usize]) {
-                            Action::Transmit { frame, .. } => {
-                                record.delivered_channels.push(ChannelId(ch as usize));
-                                // detlint: allow(deny-alloc) retention cost: delivered-frame clone into the capacity-reusing record arena
-                                record.delivered_frames.push(frame.clone());
-                            }
-                            _ => unreachable!("delivered slot points at a Transmit action"),
-                        },
+                        ChannelSlot::Delivered { tx } => {
+                            let frame = tx_frame(actions, tx_src[tx as usize]);
+                            record.delivered_channels.push(ChannelId(ch as usize));
+                            // detlint: allow(deny-alloc) retention cost: delivered-frame clone into the capacity-reusing record arena
+                            record.delivered_frames.push(frame.clone());
+                        }
                         ChannelSlot::Spoof { adv } => {
                             match &adversary.transmissions[adv as usize].1 {
                                 Emission::Spoof(frame) => {
@@ -1307,15 +1249,9 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
                                 ListenerOutcome::Nothing => None,
                                 ListenerOutcome::Honest { idx } => {
                                     let tx = ctx.transmitters.tx(idx);
-                                    match actions.get(tx_src[tx as usize]) {
-                                        Action::Transmit { frame, .. } => {
-                                            // detlint: allow(deny-alloc) retention cost: diverging-reception frame clone into the capacity-reusing record arena
-                                            Some(frame.clone())
-                                        }
-                                        _ => unreachable!(
-                                            "transmitter span points at Transmit actions"
-                                        ),
-                                    }
+                                    let frame = tx_frame(actions, tx_src[tx as usize]);
+                                    // detlint: allow(deny-alloc) retention cost: diverging-reception frame clone into the capacity-reusing record arena
+                                    Some(frame.clone())
                                 }
                                 ListenerOutcome::Adversary => match adv_idx[chu]
                                     .map(|a| &adversary.transmissions[a as usize].1)
@@ -1348,6 +1284,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{awake_actions, ReferenceNetwork};
 
     fn cfg() -> NetworkConfig {
         NetworkConfig::new(3, 2).unwrap()
@@ -1366,14 +1303,14 @@ mod tests {
         }
     }
 
-    /// Resolve one round and materialize the owned resolution (test
-    /// convenience around the borrowed view).
+    /// Resolve one round from one action per node and materialize the
+    /// owned resolution (test convenience around the borrowed view).
     fn resolve(
         net: &mut Network<u32>,
         actions: &[Action<u32>],
         adversary: AdversaryAction<u32>,
     ) -> Result<RoundResolution<u32>, EngineError> {
-        net.resolve_round(actions, &adversary)
+        net.resolve_round_sparse(&awake_actions(actions), &adversary)
             .map(|view| view.to_resolution())
     }
 
@@ -1423,15 +1360,15 @@ mod tests {
     #[test]
     fn view_borrows_frames_without_cloning() {
         let mut net: Network<u32> = Network::new(cfg());
-        let actions = [tx(0, 7), listen(0), listen(1)];
+        let actions = awake_actions(&[tx(0, 7), listen(0), listen(1)]);
         let adv = AdversaryAction::idle();
-        let view = net.resolve_round(&actions, &adv).unwrap();
+        let view = net.resolve_round_sparse(&actions, &adv).unwrap();
         assert_eq!(view.round(), 0);
         assert_eq!(view.channels(), 3);
-        // The delivered frame is literally the one in the action slice.
+        // The delivered frame is literally the one in the action list.
         assert!(std::ptr::eq(
             view.heard_on(ChannelId(0)).unwrap(),
-            match &actions[0] {
+            match &actions[0].1 {
                 Action::Transmit { frame, .. } => frame,
                 _ => unreachable!(),
             }
@@ -1464,9 +1401,9 @@ mod tests {
     #[test]
     fn two_honest_transmitters_collide() {
         let mut net: Network<u32> = Network::new(cfg());
-        let actions = [tx(0, 1), tx(0, 2), listen(0)];
+        let actions = awake_actions(&[tx(0, 1), tx(0, 2), listen(0)]);
         let adv = AdversaryAction::idle();
-        let view = net.resolve_round(&actions, &adv).unwrap();
+        let view = net.resolve_round_sparse(&actions, &adv).unwrap();
         assert_eq!(view.heard_on(ChannelId(0)), None);
         match view.outcome(ChannelId(0)) {
             OutcomeView::Collision { honest, adversary } => {
@@ -1629,12 +1566,14 @@ mod tests {
     }
 
     #[test]
-    fn sparse_path_matches_dense_round_by_round() {
-        // The same execution through `resolve_round` (with explicit
-        // Sleeps) and `resolve_round_sparse` (sleepers omitted):
-        // resolutions, stats, and retained records must be identical.
-        let mut dense: Network<u32> = Network::new(cfg());
-        let mut sparse: Network<u32> = Network::new(cfg());
+    fn engine_matches_reference_round_by_round() {
+        // The same execution through the reference and through the engine,
+        // once with sleepers omitted (the wake-queue shape) and once with
+        // every node listed (the replay dense driver's shape): resolutions,
+        // stats, and retained records must be identical.
+        let mut reference: ReferenceNetwork<u32> = ReferenceNetwork::new(3, TraceRetention::All);
+        let mut awake: Network<u32> = Network::new(cfg());
+        let mut listed: Network<u32> = Network::new(cfg());
         for round in 0..12u32 {
             let actions: Vec<Action<u32>> = (0..8)
                 .map(|i| match (i + round as usize) % 4 {
@@ -1643,27 +1582,30 @@ mod tests {
                     _ => Action::Sleep,
                 })
                 .collect();
-            let pairs: Vec<(NodeId, Action<u32>)> = actions
+            let every_node: Vec<(NodeId, Action<u32>)> = actions
                 .iter()
                 .enumerate()
-                .filter(|(_, a)| !matches!(a, Action::Sleep))
                 .map(|(i, a)| (NodeId(i), a.clone()))
                 .collect();
             let adv = AdversaryAction::jam([ChannelId(round as usize % 3)]);
-            let a = dense.resolve_round(&actions, &adv).unwrap().to_resolution();
-            let b = sparse
-                .resolve_round_sparse(&pairs, &adv)
+            let expected = reference.resolve_round(&actions, &adv);
+            let a = resolve(&mut awake, &actions, adv.clone()).unwrap();
+            let b = listed
+                .resolve_round_sparse(&every_node, &adv)
                 .unwrap()
                 .to_resolution();
-            assert_eq!(a, b);
+            assert_eq!(a, expected);
+            assert_eq!(b, expected);
         }
-        assert_eq!(dense.stats(), sparse.stats());
-        assert!(dense
-            .trace()
-            .records()
-            .zip(sparse.trace().records())
-            .all(|(a, b)| a == b));
-        assert_eq!(dense.trace().len(), sparse.trace().len());
+        for net in [&awake, &listed] {
+            assert_eq!(net.stats(), reference.stats());
+            assert_eq!(net.trace().len(), reference.trace().len());
+            assert!(net
+                .trace()
+                .records()
+                .zip(reference.trace().records())
+                .all(|(a, b)| a == b));
+        }
     }
 
     #[test]

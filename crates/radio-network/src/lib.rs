@@ -25,13 +25,13 @@
 //! ## Architecture (module ↦ paper section)
 //!
 //! * [`Network`] (`engine`) — pure round-resolution engine implementing
-//!   the §3 channel semantics above. Its round loop is arena-backed and
-//!   **activity-proportional**: an epoch-stamped active-channel worklist
-//!   plus per-channel transmitter/listener spans make a round cost
-//!   O(active channels + participants), not O(C) — and
-//!   [`Network::resolve_round_sparse`] accepts only the awake nodes'
-//!   actions so cost is independent of `n` too. Both entry points return
-//!   a borrowed [`RoundView`] over reused flat storage, so steady-state
+//!   the §3 channel semantics above. Its one entry point,
+//!   [`Network::resolve_round_sparse`], is arena-backed and
+//!   **activity-proportional**: it accepts only the awake nodes' actions,
+//!   and an epoch-stamped active-channel worklist plus per-channel
+//!   transmitter/listener spans make a round cost O(active channels +
+//!   participants), independent of both `C` and `n`. It returns a
+//!   borrowed [`RoundView`] over reused flat storage, so steady-state
 //!   rounds are allocation-free (owned escape hatch:
 //!   [`RoundView::to_resolution`]).
 //! * [`Protocol`] (`node`) — the state-machine trait honest §3 nodes
@@ -59,6 +59,9 @@
 //!   `docs/TRACE_FORMAT.md`).
 //! * `seed` — deterministic seed-stream derivation, the reproducibility
 //!   substrate every experiment relies on (not in the paper).
+//! * [`testing`] — fixtures: a toy protocol, the one-action-per-node to
+//!   awake-list helper, and [`testing::ReferenceNetwork`], the naive,
+//!   independent copy of the round rule the engine is proptested against.
 //!
 //! ## Example
 //!

@@ -4,10 +4,10 @@
 //! The driver's per-round loop is O(awake), not O(n): nodes advertise
 //! their next wake round through [`Protocol::next_wake`] and a
 //! min-heap wake-queue visits only the nodes due this round, feeding
-//! their `(node, action)` pairs to the engine's sparse entry point
+//! their `(node, action)` pairs to the engine's round entry point
 //! ([`Network::resolve_round_sparse`]). Protocols that don't override
-//! `next_wake` are visited every round, exactly like the classic dense
-//! driver.
+//! `next_wake` are visited every round, exactly like a dense driver that
+//! polls every node.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -1,12 +1,178 @@
-//! Small fixture protocols for tests, benches, and doc examples.
+//! Fixtures for tests, benches, and doc examples: a toy protocol, the
+//! action-list helper, and the reference round engine.
 //!
 //! These are *not* part of the paper — they exist so the engine can be
-//! exercised and demonstrated without pulling in the full `fame` stack.
+//! exercised, checked, and demonstrated without pulling in the full
+//! `fame` stack.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::node::{Action, ChannelId, Protocol, Reception};
+use crate::adversary::{AdversaryAction, Emission};
+use crate::engine::{ChannelOutcome, RoundResolution};
+use crate::node::{Action, ChannelId, NodeId, Protocol, Reception};
+use crate::stats::Stats;
+use crate::trace::{RoundRecord, Trace, TraceRetention};
+
+/// The engine's input shape from one action per node (`actions[i]` is
+/// node `i`'s): sleepers dropped, everyone else paired with their node
+/// id in ascending order — what the [`Simulation`](crate::Simulation)
+/// wake-queue feeds [`Network::resolve_round_sparse`](crate::Network::resolve_round_sparse).
+pub fn awake_actions<M: Clone>(actions: &[Action<M>]) -> Vec<(NodeId, Action<M>)> {
+    actions
+        .iter()
+        .enumerate()
+        .filter(|(_, a)| !matches!(a, Action::Sleep))
+        .map(|(i, a)| (NodeId(i), a.clone()))
+        .collect()
+}
+
+/// The Section 3 round rule written once more, as plainly as possible:
+/// a channel delivers a frame only when exactly one party transmits on
+/// it. It shares no code with the arena engine
+/// ([`Network`](crate::Network)), which the equivalence property tests
+/// hold to it round by round, and the engine bench times it as the
+/// naive baseline.
+///
+/// Ideal channel only (no [`ChannelModel`](crate::ChannelModel)), fresh
+/// `Vec`s every round, an owned [`RoundResolution`] per round, the same
+/// [`Stats`] accounting, and a record of every round kept under a
+/// [`TraceRetention`]. It takes one action per node and does not
+/// validate its input.
+#[derive(Debug)]
+pub struct ReferenceNetwork<M> {
+    channels: usize,
+    round: u64,
+    stats: Stats,
+    trace: Trace<M>,
+}
+
+impl<M: Clone> ReferenceNetwork<M> {
+    /// A reference network over `channels` channels at round 0, keeping
+    /// records under `retention`.
+    pub fn new(channels: usize, retention: TraceRetention) -> Self {
+        ReferenceNetwork {
+            channels,
+            round: 0,
+            stats: Stats::default(),
+            trace: Trace::new(retention),
+        }
+    }
+
+    /// The accumulated statistics.
+    pub fn stats(&self) -> &Stats {
+        &self.stats
+    }
+
+    /// The retained records.
+    pub fn trace(&self) -> &Trace<M> {
+        &self.trace
+    }
+
+    /// Resolve one round: `actions[i]` is node `i`'s action.
+    ///
+    /// # Panics
+    ///
+    /// On a channel out of range or an adversary that names one channel
+    /// twice (the engine reports both as errors; the reference is only
+    /// fed valid rounds).
+    pub fn resolve_round(
+        &mut self,
+        actions: &[Action<M>],
+        adversary: &AdversaryAction<M>,
+    ) -> RoundResolution<M> {
+        let c = self.channels;
+        let mut honest_tx: Vec<Vec<(NodeId, M)>> = vec![Vec::new(); c];
+        let mut listeners: Vec<(NodeId, ChannelId)> = Vec::new();
+        for (i, action) in actions.iter().enumerate() {
+            match action {
+                Action::Transmit { channel, frame } => {
+                    honest_tx[channel.index()].push((NodeId(i), frame.clone()));
+                }
+                Action::Listen { channel } => listeners.push((NodeId(i), *channel)),
+                Action::Sleep => {}
+            }
+        }
+        let mut adv_tx: Vec<Option<&Emission<M>>> = vec![None; c];
+        for (ch, emission) in &adversary.transmissions {
+            assert!(adv_tx[ch.index()].is_none(), "duplicate adversary channel");
+            adv_tx[ch.index()] = Some(emission);
+        }
+
+        let mut outcomes: Vec<ChannelOutcome<M>> = Vec::with_capacity(c);
+        for ch in 0..c {
+            let honest = &honest_tx[ch];
+            let outcome = match (honest.len(), adv_tx[ch]) {
+                (0, None) => ChannelOutcome::Idle,
+                (0, Some(Emission::Noise)) => ChannelOutcome::NoiseOnly,
+                (0, Some(Emission::Spoof(frame))) => ChannelOutcome::SpoofDelivered {
+                    frame: frame.clone(),
+                },
+                (1, None) => {
+                    let (from, frame) = honest[0].clone();
+                    ChannelOutcome::Delivered { from, frame }
+                }
+                _ => ChannelOutcome::Collision {
+                    honest: honest.iter().map(|(id, _)| *id).collect(),
+                    adversary: adv_tx[ch].is_some(),
+                },
+            };
+            outcomes.push(outcome);
+        }
+
+        self.stats.rounds += 1;
+        self.stats.adversary_transmissions += adversary.len() as u64;
+        for (ch, outcome) in outcomes.iter().enumerate() {
+            match outcome {
+                ChannelOutcome::Delivered { .. } => {
+                    self.stats.honest_transmissions += 1;
+                    self.stats.honest_deliveries += 1;
+                }
+                ChannelOutcome::SpoofDelivered { .. } => {
+                    if listeners.iter().any(|&(_, l)| l.index() == ch) {
+                        self.stats.spoofs_delivered += 1;
+                    }
+                }
+                ChannelOutcome::Collision { honest, adversary } => {
+                    self.stats.honest_transmissions += honest.len() as u64;
+                    self.stats.collisions += honest.len() as u64;
+                    if *adversary {
+                        self.stats.jams_effective += 1;
+                    }
+                }
+                ChannelOutcome::Idle | ChannelOutcome::NoiseOnly => {}
+            }
+        }
+        for &(_, ch) in &listeners {
+            match outcomes[ch.index()].heard() {
+                Some(_) => self.stats.frames_received += 1,
+                None => self.stats.silent_receptions += 1,
+            }
+        }
+
+        let delivered: Vec<Option<M>> = outcomes.iter().map(ChannelOutcome::heard).collect();
+        let mut transmissions = Vec::new();
+        for (ch, txs) in honest_tx.into_iter().enumerate() {
+            for (id, frame) in txs {
+                transmissions.push((id, ChannelId(ch), frame));
+            }
+        }
+        self.trace.push(RoundRecord::from_parts(
+            self.round,
+            transmissions,
+            listeners,
+            adversary.transmissions.clone(),
+            delivered,
+        ));
+
+        let resolution = RoundResolution {
+            round: self.round,
+            outcomes,
+        };
+        self.round += 1;
+        resolution
+    }
+}
 
 /// A toy node: each round flips a coin, then transmits its id on a random
 /// channel or listens on a random channel; stops after a fixed number of

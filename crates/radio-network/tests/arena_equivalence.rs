@@ -1,144 +1,25 @@
-//! The arena-backed round core is **bit-identical** to the pre-refactor
-//! engine.
+//! The arena-backed round engine is **bit-identical** to the reference.
 //!
-//! `reference` below is a faithful reimplementation of the engine as it
-//! stood before the `RoundArena`/`RoundView` refactor: per-channel gather
-//! `Vec`s, owned `RoundResolution` returns, per-round record
-//! construction, the same stats accounting. The property tests drive both
-//! engines through identical multi-round executions — arbitrary honest
-//! action mixes, arbitrary jam/spoof adversary moves, and the roster's
-//! history-mining adversaries (random, spoofing, busy-window) whose moves
-//! are derived from the retained trace — and require equal outcomes,
-//! equal [`Stats`], and equal retained trace records after every round.
+//! [`ReferenceNetwork`] is the one independent copy of the round rule:
+//! per-channel gather `Vec`s, owned `RoundResolution` returns, per-round
+//! record construction, the same stats accounting. The property tests
+//! drive it and the engine through identical multi-round executions —
+//! arbitrary honest action mixes, arbitrary jam/spoof adversary moves,
+//! and the roster's history-mining adversaries (random, spoofing,
+//! busy-window) whose moves are derived from the retained trace — and
+//! require equal outcomes, equal [`Stats`], and equal retained trace
+//! records after every round, under every retention policy.
+//!
+//! [`Stats`]: radio_network::Stats
 
 use proptest::prelude::*;
 
 use radio_network::adversaries::{BusyChannelJammer, RandomJammer, Spoofer};
+use radio_network::testing::{awake_actions, ReferenceNetwork};
 use radio_network::{
-    Action, Adversary, AdversaryAction, AdversaryView, ChannelId, ChannelModelSpec, ChannelOutcome,
-    Emission, Network, NetworkConfig, NodeId, RoundRecord, RoundResolution, Stats, Trace,
-    TraceRetention,
+    Action, Adversary, AdversaryAction, AdversaryView, ChannelId, ChannelModelSpec, Emission,
+    Network, NetworkConfig, NodeId, TraceRetention,
 };
-
-/// The pre-refactor round engine, kept simple rather than fast.
-mod reference {
-    use super::*;
-
-    pub struct ReferenceNetwork {
-        channels: usize,
-        round: u64,
-        pub stats: Stats,
-        pub trace: Trace<u32>,
-    }
-
-    impl ReferenceNetwork {
-        pub fn new(channels: usize, retention: TraceRetention) -> Self {
-            ReferenceNetwork {
-                channels,
-                round: 0,
-                stats: Stats::default(),
-                trace: Trace::new(retention),
-            }
-        }
-
-        pub fn resolve_round(
-            &mut self,
-            actions: &[Action<u32>],
-            adversary: &AdversaryAction<u32>,
-        ) -> RoundResolution<u32> {
-            let c = self.channels;
-            let mut honest_tx: Vec<Vec<(NodeId, u32)>> = vec![Vec::new(); c];
-            let mut listeners: Vec<(NodeId, ChannelId)> = Vec::new();
-            for (i, action) in actions.iter().enumerate() {
-                match action {
-                    Action::Transmit { channel, frame } => {
-                        honest_tx[channel.index()].push((NodeId(i), *frame));
-                    }
-                    Action::Listen { channel } => listeners.push((NodeId(i), *channel)),
-                    Action::Sleep => {}
-                }
-            }
-            let mut adv_tx: Vec<Option<&Emission<u32>>> = vec![None; c];
-            for (ch, emission) in &adversary.transmissions {
-                assert!(adv_tx[ch.index()].is_none(), "duplicate adversary channel");
-                adv_tx[ch.index()] = Some(emission);
-            }
-
-            let mut outcomes: Vec<ChannelOutcome<u32>> = Vec::with_capacity(c);
-            for ch in 0..c {
-                let honest = &honest_tx[ch];
-                let outcome = match (honest.len(), adv_tx[ch]) {
-                    (0, None) => ChannelOutcome::Idle,
-                    (0, Some(Emission::Noise)) => ChannelOutcome::NoiseOnly,
-                    (0, Some(Emission::Spoof(frame))) => {
-                        ChannelOutcome::SpoofDelivered { frame: *frame }
-                    }
-                    (1, None) => {
-                        let (from, frame) = honest[0];
-                        ChannelOutcome::Delivered { from, frame }
-                    }
-                    _ => ChannelOutcome::Collision {
-                        honest: honest.iter().map(|&(id, _)| id).collect(),
-                        adversary: adv_tx[ch].is_some(),
-                    },
-                };
-                outcomes.push(outcome);
-            }
-
-            self.stats.rounds += 1;
-            self.stats.adversary_transmissions += adversary.len() as u64;
-            for (ch, outcome) in outcomes.iter().enumerate() {
-                match outcome {
-                    ChannelOutcome::Delivered { .. } => {
-                        self.stats.honest_transmissions += 1;
-                        self.stats.honest_deliveries += 1;
-                    }
-                    ChannelOutcome::SpoofDelivered { .. } => {
-                        if listeners.iter().any(|&(_, l)| l.index() == ch) {
-                            self.stats.spoofs_delivered += 1;
-                        }
-                    }
-                    ChannelOutcome::Collision { honest, adversary } => {
-                        self.stats.honest_transmissions += honest.len() as u64;
-                        self.stats.collisions += honest.len() as u64;
-                        if *adversary {
-                            self.stats.jams_effective += 1;
-                        }
-                    }
-                    ChannelOutcome::Idle | ChannelOutcome::NoiseOnly => {}
-                }
-            }
-            for &(_, ch) in &listeners {
-                match outcomes[ch.index()].heard() {
-                    Some(_) => self.stats.frames_received += 1,
-                    None => self.stats.silent_receptions += 1,
-                }
-            }
-
-            let delivered: Vec<Option<u32>> = outcomes.iter().map(ChannelOutcome::heard).collect();
-            let mut transmissions = Vec::new();
-            for (ch, txs) in honest_tx.iter().enumerate() {
-                for &(id, frame) in txs {
-                    transmissions.push((id, ChannelId(ch), frame));
-                }
-            }
-            self.trace.push(RoundRecord::from_parts(
-                self.round,
-                transmissions,
-                listeners,
-                adversary.transmissions.clone(),
-                delivered,
-            ));
-
-            let resolution = RoundResolution {
-                round: self.round,
-                outcomes,
-            };
-            self.round += 1;
-            resolution
-        }
-    }
-}
 
 #[derive(Clone, Debug)]
 enum GenAction {
@@ -181,16 +62,13 @@ fn arb_round(
     (actions, adversary)
 }
 
-/// The sparse form of a dense action slice: awake (non-Sleep) nodes only,
-/// as node-sorted pairs — exactly what the wake-queue driver feeds
-/// [`Network::resolve_round_sparse`].
-fn to_sparse(actions: &[Action<u32>]) -> Vec<(NodeId, Action<u32>)> {
-    actions
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| !matches!(a, Action::Sleep))
-        .map(|(i, a)| (NodeId(i), a.clone()))
-        .collect()
+/// All three retention modes, the bounded one keeping `window` rounds.
+fn arb_retention(window: usize) -> impl Strategy<Value = TraceRetention> {
+    prop_oneof![
+        Just(TraceRetention::All),
+        Just(TraceRetention::LastRounds(window)),
+        Just(TraceRetention::None),
+    ]
 }
 
 fn to_adversary(gen: &[(usize, Option<u32>)]) -> AdversaryAction<u32> {
@@ -207,150 +85,127 @@ fn to_adversary(gen: &[(usize, Option<u32>)]) -> AdversaryAction<u32> {
     action
 }
 
-/// Compare the engine against the reference after every round of an
-/// execution: resolutions, stats, completed-round counts, and every
-/// retained record.
-fn assert_equivalent_execution(
-    retention: TraceRetention,
-    c: usize,
-    t: usize,
-    rounds: &[(Vec<Action<u32>>, AdversaryAction<u32>)],
-) {
-    let cfg = NetworkConfig::new(c, t).unwrap().with_retention(retention);
-    let mut engine: Network<u32> = Network::new(cfg);
-    let mut reference = reference::ReferenceNetwork::new(c, retention);
-    for (actions, adversary) in rounds {
-        let expected = reference.resolve_round(actions, adversary);
-        let view = engine.resolve_round(actions, adversary).unwrap();
-        assert_eq!(view.to_resolution(), expected);
-        assert_eq!(engine.stats(), &reference.stats);
-        assert_eq!(
-            engine.trace().completed_rounds(),
-            reference.trace.completed_rounds()
-        );
-        assert_eq!(engine.trace().len(), reference.trace.len());
-        assert!(engine
-            .trace()
-            .records()
-            .zip(reference.trace.records())
-            .all(|(a, b)| a == b));
+/// Every node listed, sleepers included — the shape replay's dense
+/// driver feeds the engine.
+fn every_node(actions: &[Action<u32>]) -> Vec<(NodeId, Action<u32>)> {
+    actions
+        .iter()
+        .enumerate()
+        .map(|(i, a)| (NodeId(i), a.clone()))
+        .collect()
+}
+
+/// The roster shape: `(C, t, n)`.
+const ROSTER: (usize, usize, usize) = (5, 2, 12);
+
+/// One of the roster's trace-mining adversaries.
+fn roster_adversary(kind: usize, seed: u64) -> Box<dyn Adversary<u32>> {
+    match kind {
+        0 => Box::new(RandomJammer::new(seed)),
+        1 => Box::new(Spoofer::new(seed, |round, ch: ChannelId| {
+            (round as u32) << 8 | ch.index() as u32
+        })),
+        _ => Box::new(BusyChannelJammer::new(seed, 6)),
     }
+}
+
+/// A deterministic, channel-skewed honest schedule for the roster runs:
+/// some collisions, some clean deliveries, rotating listeners.
+fn roster_actions(round: u64) -> Vec<Action<u32>> {
+    let (c, _, n) = ROSTER;
+    (0..n)
+        .map(|i| match (i + round as usize) % 4 {
+            0 => Action::Transmit {
+                channel: ChannelId(i % 2),
+                frame: (round as u32) * 100 + i as u32,
+            },
+            1 => Action::Transmit {
+                channel: ChannelId(2 + (i + round as usize) % (c - 2)),
+                frame: (round as u32) * 100 + i as u32,
+            },
+            2 => Action::Listen {
+                channel: ChannelId((i + round as usize) % c),
+            },
+            _ => Action::Sleep,
+        })
+        .collect()
+}
+
+/// Equal stats, completed-round counts, and retained records.
+fn same_history(
+    engine: &Network<u32>,
+    reference: &ReferenceNetwork<u32>,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(engine.stats(), reference.stats());
+    prop_assert_eq!(
+        engine.trace().completed_rounds(),
+        reference.trace().completed_rounds()
+    );
+    prop_assert_eq!(engine.trace().len(), reference.trace().len());
+    prop_assert!(engine
+        .trace()
+        .records()
+        .zip(reference.trace().records())
+        .all(|(a, b)| a == b));
+    Ok(())
 }
 
 proptest! {
     /// Arbitrary multi-round executions under arbitrary jam/spoof moves:
-    /// the arena engine and the reference agree on every outcome, every
-    /// stat, and every retained record, across all retention policies.
+    /// the engine and the reference agree on every outcome, every stat,
+    /// and every retained record, across all retention policies — with
+    /// sleepers omitted (the wake-queue shape) and with every node listed
+    /// (the replay dense driver's shape).
     #[test]
     fn arena_engine_matches_reference(
         rounds in proptest::collection::vec(arb_round(4, 10, 2), 1..12),
-        retention in prop_oneof![
-            Just(TraceRetention::All),
-            Just(TraceRetention::LastRounds(3)),
-            Just(TraceRetention::None),
-        ],
-    ) {
-        let rounds: Vec<(Vec<Action<u32>>, AdversaryAction<u32>)> = rounds
-            .iter()
-            .map(|(gen, adv)| (to_actions(gen), to_adversary(adv)))
-            .collect();
-        assert_equivalent_execution(retention, 4, 2, &rounds);
-    }
-
-    /// The sparse entry point is bit-identical to the dense one: the same
-    /// execution through `resolve_round` (sleepers as explicit `Sleep`)
-    /// and `resolve_round_sparse` (sleepers omitted) yields the same
-    /// resolutions, stats, and retained records under every retention
-    /// policy — and both match the pre-refactor reference.
-    #[test]
-    fn sparse_engine_matches_dense_and_reference(
-        rounds in proptest::collection::vec(arb_round(4, 10, 2), 1..12),
-        retention in prop_oneof![
-            Just(TraceRetention::All),
-            Just(TraceRetention::LastRounds(3)),
-            Just(TraceRetention::None),
-        ],
+        retention in arb_retention(3),
     ) {
         let cfg = NetworkConfig::new(4, 2).unwrap().with_retention(retention);
-        let mut dense: Network<u32> = Network::new(cfg.clone());
-        let mut sparse: Network<u32> = Network::new(cfg);
-        let mut reference = reference::ReferenceNetwork::new(4, retention);
+        let mut awake: Network<u32> = Network::new(cfg.clone());
+        let mut listed: Network<u32> = Network::new(cfg);
+        let mut reference = ReferenceNetwork::new(4, retention);
         for (gen, adv) in &rounds {
             let actions = to_actions(gen);
-            let pairs = to_sparse(&actions);
             let adversary = to_adversary(adv);
             let expected = reference.resolve_round(&actions, &adversary);
-            let d = dense.resolve_round(&actions, &adversary).unwrap().to_resolution();
-            let s = sparse
-                .resolve_round_sparse(&pairs, &adversary)
+            let a = awake
+                .resolve_round_sparse(&awake_actions(&actions), &adversary)
                 .unwrap()
                 .to_resolution();
-            prop_assert_eq!(&d, &expected);
-            prop_assert_eq!(&s, &expected);
-            prop_assert_eq!(dense.stats(), sparse.stats());
-            prop_assert_eq!(sparse.stats(), &reference.stats);
-            prop_assert_eq!(dense.trace().len(), sparse.trace().len());
-            prop_assert_eq!(
-                sparse.trace().completed_rounds(),
-                reference.trace.completed_rounds()
-            );
-            prop_assert!(dense
-                .trace()
-                .records()
-                .zip(sparse.trace().records())
-                .all(|(a, b)| a == b));
-            prop_assert!(sparse
-                .trace()
-                .records()
-                .zip(reference.trace.records())
-                .all(|(a, b)| a == b));
+            let b = listed
+                .resolve_round_sparse(&every_node(&actions), &adversary)
+                .unwrap()
+                .to_resolution();
+            prop_assert_eq!(&a, &expected);
+            prop_assert_eq!(&b, &expected);
+            same_history(&awake, &reference)?;
+            same_history(&listed, &reference)?;
         }
     }
 
     /// The roster's trace-mining adversaries (random jammer, spoofer,
-    /// busy-window jammer) against a scripted honest schedule: adversary
-    /// moves are derived from the engine's retained trace each round, so
-    /// this exercises the record arena, the recycled bounded window, and
-    /// history-dependent behavior end to end.
+    /// busy-window jammer) against a scripted honest schedule, under
+    /// every retention policy: adversary moves are derived from the
+    /// engine's retained trace each round, so this exercises the record
+    /// arena, the recycled bounded window, and history-dependent behavior
+    /// end to end. (A divergence in any retained record would also skew
+    /// the adversary's future moves, so the execution itself is a
+    /// sensitive detector.)
     #[test]
     fn roster_adversaries_stay_bit_identical(
         seed in any::<u64>(),
         kind in 0..3usize,
         rounds in 4..40usize,
+        retention in arb_retention(8),
     ) {
-        let (c, t, n) = (5, 2, 12);
-        let cfg = NetworkConfig::new(c, t)
-            .unwrap()
-            .with_retention(TraceRetention::LastRounds(8));
+        let (c, t, n) = ROSTER;
+        let cfg = NetworkConfig::new(c, t).unwrap().with_retention(retention);
         let mut engine: Network<u32> = Network::new(cfg);
-        let mut reference =
-            reference::ReferenceNetwork::new(c, TraceRetention::LastRounds(8));
-        let mut adversary: Box<dyn Adversary<u32>> = match kind {
-            0 => Box::new(RandomJammer::new(seed)),
-            1 => Box::new(Spoofer::new(seed, |round, ch: ChannelId| {
-                (round as u32) << 8 | ch.index() as u32
-            })),
-            _ => Box::new(BusyChannelJammer::new(seed, 6)),
-        };
+        let mut reference = ReferenceNetwork::new(c, retention);
+        let mut adversary = roster_adversary(kind, seed);
         for round in 0..rounds as u64 {
-            // A deterministic, channel-skewed honest schedule (some
-            // collisions, some clean deliveries, rotating listeners).
-            let actions: Vec<Action<u32>> = (0..n)
-                .map(|i| match (i + round as usize) % 4 {
-                    0 => Action::Transmit {
-                        channel: ChannelId(i % 2),
-                        frame: (round as u32) * 100 + i as u32,
-                    },
-                    1 => Action::Transmit {
-                        channel: ChannelId(2 + (i + round as usize) % (c - 2)),
-                        frame: (round as u32) * 100 + i as u32,
-                    },
-                    2 => Action::Listen {
-                        channel: ChannelId((i + round as usize) % c),
-                    },
-                    _ => Action::Sleep,
-                })
-                .collect();
+            let actions = roster_actions(round);
             // The adversary mines the ENGINE's trace; the reference must
             // have retained the identical history for this to stay fair.
             let view = AdversaryView {
@@ -362,184 +217,61 @@ proptest! {
             let adv_action = adversary.act(round, &view);
             let expected = reference.resolve_round(&actions, &adv_action);
             let got = engine
-                .resolve_round(&actions, &adv_action)
+                .resolve_round_sparse(&awake_actions(&actions), &adv_action)
                 .unwrap()
                 .to_resolution();
             prop_assert_eq!(got, expected);
-            prop_assert_eq!(engine.stats(), &reference.stats);
-            prop_assert_eq!(engine.trace().len(), reference.trace.len());
-            prop_assert!(engine
-                .trace()
-                .records()
-                .zip(reference.trace.records())
-                .all(|(a, b)| a == b));
+            same_history(&engine, &reference)?;
         }
     }
 
     /// Selecting [`ChannelModelSpec::Ideal`] explicitly is bit-identical
-    /// to the default (model-less) configuration — on the dense AND the
-    /// sparse path, under every retention policy, against the
-    /// history-mining roster. This is the guarantee that lets the
-    /// committed BENCH files and golden corpus stay valid across the
-    /// channel-model refactor: threading the trait through the engine
-    /// changed no ideal-path byte.
+    /// to the default (model-less) configuration and to the reference,
+    /// under every retention policy, against the history-mining roster.
+    /// This is the guarantee that lets the committed BENCH files and
+    /// golden corpus stay valid across the channel-model refactor:
+    /// threading the trait through the engine changed no ideal-path byte.
     #[test]
     fn explicit_ideal_model_is_bit_identical_to_default(
         seed in any::<u64>(),
         kind in 0..3usize,
         rounds in 4..40usize,
-        retention in prop_oneof![
-            Just(TraceRetention::All),
-            Just(TraceRetention::LastRounds(8)),
-            Just(TraceRetention::None),
-        ],
+        retention in arb_retention(8),
     ) {
-        let (c, t, n) = (5, 2, 12);
+        let (c, t, n) = ROSTER;
         let cfg = NetworkConfig::new(c, t).unwrap().with_retention(retention);
-        let cfg_ideal = cfg.clone().with_channel_model(ChannelModelSpec::Ideal);
-        let mut default_dense: Network<u32> = Network::new(cfg);
-        let mut ideal_dense: Network<u32> = Network::new(cfg_ideal.clone());
-        let mut ideal_sparse: Network<u32> = Network::new(cfg_ideal);
+        let mut default: Network<u32> = Network::new(cfg.clone());
+        let mut ideal: Network<u32> =
+            Network::new(cfg.with_channel_model(ChannelModelSpec::Ideal));
+        let mut reference = ReferenceNetwork::new(c, retention);
         // The model seed must be irrelevant under Ideal; give the
-        // explicit-model engines one anyway to prove it.
-        ideal_dense.seed_channel_model(seed ^ 0xDEAD_BEEF);
-        ideal_sparse.seed_channel_model(!seed);
-        let mut adversary: Box<dyn Adversary<u32>> = match kind {
-            0 => Box::new(RandomJammer::new(seed)),
-            1 => Box::new(Spoofer::new(seed, |round, ch: ChannelId| {
-                (round as u32) << 8 | ch.index() as u32
-            })),
-            _ => Box::new(BusyChannelJammer::new(seed, 6)),
-        };
+        // explicit-model engine one anyway to prove it.
+        ideal.seed_channel_model(seed ^ 0xDEAD_BEEF);
+        let mut adversary = roster_adversary(kind, seed);
         for round in 0..rounds as u64 {
-            let actions: Vec<Action<u32>> = (0..n)
-                .map(|i| match (i + round as usize) % 4 {
-                    0 => Action::Transmit {
-                        channel: ChannelId(i % 2),
-                        frame: (round as u32) * 100 + i as u32,
-                    },
-                    1 => Action::Transmit {
-                        channel: ChannelId(2 + (i + round as usize) % (c - 2)),
-                        frame: (round as u32) * 100 + i as u32,
-                    },
-                    2 => Action::Listen {
-                        channel: ChannelId((i + round as usize) % c),
-                    },
-                    _ => Action::Sleep,
-                })
-                .collect();
-            let pairs = to_sparse(&actions);
+            let actions = roster_actions(round);
+            let pairs = awake_actions(&actions);
             let view = AdversaryView {
                 channels: c,
                 budget: t,
                 nodes: n,
-                trace: default_dense.trace(),
+                trace: default.trace(),
             };
             let adv_action = adversary.act(round, &view);
-            let expected = default_dense
-                .resolve_round(&actions, &adv_action)
-                .unwrap()
-                .to_resolution();
-            let got_dense = ideal_dense
-                .resolve_round(&actions, &adv_action)
-                .unwrap()
-                .to_resolution();
-            let got_sparse = ideal_sparse
+            let expected = reference.resolve_round(&actions, &adv_action);
+            let got_default = default
                 .resolve_round_sparse(&pairs, &adv_action)
                 .unwrap()
                 .to_resolution();
-            prop_assert_eq!(&got_dense, &expected);
-            prop_assert_eq!(&got_sparse, &expected);
-            prop_assert_eq!(default_dense.stats(), ideal_dense.stats());
-            prop_assert_eq!(default_dense.stats(), ideal_sparse.stats());
-            prop_assert_eq!(default_dense.trace().len(), ideal_dense.trace().len());
-            prop_assert!(default_dense
-                .trace()
-                .records()
-                .zip(ideal_dense.trace().records())
-                .all(|(a, b)| a == b && a.reception_nodes.is_empty()));
-            prop_assert!(default_dense
-                .trace()
-                .records()
-                .zip(ideal_sparse.trace().records())
-                .all(|(a, b)| a == b));
-        }
-    }
-
-    /// Sparse resolution against the full trace-mining adversary roster,
-    /// under every retention mode: the adversary mines the *dense*
-    /// engine's trace, both engines resolve the identical round, and the
-    /// sparse one must stay bit-identical round by round — outcomes,
-    /// stats, and retained records. (A divergence in any retained record
-    /// would also skew the adversary's future moves, so the execution
-    /// itself is a sensitive detector.)
-    #[test]
-    fn sparse_roster_stays_bit_identical(
-        seed in any::<u64>(),
-        kind in 0..3usize,
-        rounds in 4..40usize,
-        retention in prop_oneof![
-            Just(TraceRetention::All),
-            Just(TraceRetention::LastRounds(8)),
-            Just(TraceRetention::None),
-        ],
-    ) {
-        let (c, t, n) = (5, 2, 12);
-        let cfg = NetworkConfig::new(c, t).unwrap().with_retention(retention);
-        let mut dense: Network<u32> = Network::new(cfg.clone());
-        let mut sparse: Network<u32> = Network::new(cfg);
-        let mut adversary: Box<dyn Adversary<u32>> = match kind {
-            0 => Box::new(RandomJammer::new(seed)),
-            1 => Box::new(Spoofer::new(seed, |round, ch: ChannelId| {
-                (round as u32) << 8 | ch.index() as u32
-            })),
-            _ => Box::new(BusyChannelJammer::new(seed, 6)),
-        };
-        for round in 0..rounds as u64 {
-            let actions: Vec<Action<u32>> = (0..n)
-                .map(|i| match (i + round as usize) % 4 {
-                    0 => Action::Transmit {
-                        channel: ChannelId(i % 2),
-                        frame: (round as u32) * 100 + i as u32,
-                    },
-                    1 => Action::Transmit {
-                        channel: ChannelId(2 + (i + round as usize) % (c - 2)),
-                        frame: (round as u32) * 100 + i as u32,
-                    },
-                    2 => Action::Listen {
-                        channel: ChannelId((i + round as usize) % c),
-                    },
-                    _ => Action::Sleep,
-                })
-                .collect();
-            let pairs = to_sparse(&actions);
-            let view = AdversaryView {
-                channels: c,
-                budget: t,
-                nodes: n,
-                trace: dense.trace(),
-            };
-            let adv_action = adversary.act(round, &view);
-            let expected = dense
-                .resolve_round(&actions, &adv_action)
-                .unwrap()
-                .to_resolution();
-            let got = sparse
+            let got_ideal = ideal
                 .resolve_round_sparse(&pairs, &adv_action)
                 .unwrap()
                 .to_resolution();
-            prop_assert_eq!(got, expected);
-            prop_assert_eq!(dense.stats(), sparse.stats());
-            prop_assert_eq!(dense.trace().len(), sparse.trace().len());
-            prop_assert_eq!(
-                dense.trace().completed_rounds(),
-                sparse.trace().completed_rounds()
-            );
-            prop_assert!(dense
-                .trace()
-                .records()
-                .zip(sparse.trace().records())
-                .all(|(a, b)| a == b));
+            prop_assert_eq!(&got_default, &expected);
+            prop_assert_eq!(&got_ideal, &expected);
+            same_history(&default, &reference)?;
+            same_history(&ideal, &reference)?;
+            prop_assert!(ideal.trace().records().all(|r| r.reception_nodes.is_empty()));
         }
     }
 }

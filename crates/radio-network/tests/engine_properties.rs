@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 
+use radio_network::testing::awake_actions;
 use radio_network::{
     Action, AdversaryAction, ChannelId, ChannelOutcome, Emission, Network, NetworkConfig,
     OutcomeView,
@@ -71,7 +72,7 @@ proptest! {
         let mut net: Network<u32> = Network::new(cfg);
         let actions = to_actions(&gen);
         let adversary = to_adversary(&adv);
-        let resolution = net.resolve_round(&actions, &adversary).unwrap().to_resolution();
+        let resolution = net.resolve_round_sparse(&awake_actions(&actions), &adversary).unwrap().to_resolution();
 
         for ch in 0..4 {
             let honest: Vec<u32> = gen.iter().filter_map(|g| match g {
@@ -108,7 +109,8 @@ proptest! {
         let mut net: Network<u32> = Network::new(cfg);
         let actions = to_actions(&gen);
         let adversary = to_adversary(&adv);
-        let view = net.resolve_round(&actions, &adversary).unwrap();
+        let pairs = awake_actions(&actions);
+        let view = net.resolve_round_sparse(&pairs, &adversary).unwrap();
         let owned = view.to_resolution();
         prop_assert_eq!(view.round(), owned.round);
         prop_assert_eq!(view.channels(), owned.outcomes.len());
@@ -163,7 +165,7 @@ proptest! {
         let mut net: Network<u32> = Network::new(cfg);
         let actions = to_actions(&gen);
         let adversary = to_adversary(&adv);
-        net.resolve_round(&actions, &adversary).unwrap();
+        net.resolve_round_sparse(&awake_actions(&actions), &adversary).unwrap();
         let stats = net.stats();
         let tx_count = gen.iter().filter(|g| matches!(g, GenAction::Transmit(..))).count() as u64;
         prop_assert_eq!(stats.honest_transmissions, tx_count);
@@ -183,7 +185,7 @@ proptest! {
         let mut net: Network<u32> = Network::new(cfg);
         let actions = to_actions(&gen);
         let adversary = to_adversary(&adv);
-        let resolution = net.resolve_round(&actions, &adversary).unwrap().to_resolution();
+        let resolution = net.resolve_round_sparse(&awake_actions(&actions), &adversary).unwrap().to_resolution();
         let rec = net.trace().last().unwrap();
         let tx_count = gen.iter().filter(|g| matches!(g, GenAction::Transmit(..))).count();
         prop_assert_eq!(rec.transmissions().count(), tx_count);
@@ -206,7 +208,7 @@ proptest! {
         let mut net: Network<u32> = Network::new(cfg);
         let actions = to_actions(&gen);
         let adversary = to_adversary(&adv);
-        let resolution = net.resolve_round(&actions, &adversary).unwrap().to_resolution();
+        let resolution = net.resolve_round_sparse(&awake_actions(&actions), &adversary).unwrap().to_resolution();
         for outcome in &resolution.outcomes {
             match outcome {
                 ChannelOutcome::Delivered { .. } | ChannelOutcome::SpoofDelivered { .. } => {

@@ -4,7 +4,7 @@
 //! session and one gateway-served session, each with a `.meta.json`
 //! sidecar describing the run
 //! ([`CorpusScenario`]). CI replays every trace through the
-//! [`crate::ScriptedAdversary`] on both engines under
+//! [`crate::ScriptedAdversary`] under both drivers with
 //! `--expect-identical`; `replay --regen tests/corpus` rewrites the
 //! whole set after an intentional protocol or format change.
 

@@ -1,5 +1,5 @@
 //! Replay drivers: a sink that captures re-encoded trace lines, and a
-//! dense reference driver equivalent to the sparse [`radio_network::Simulation`] loop.
+//! dense driver equivalent to the wake-queue [`radio_network::Simulation`] loop.
 //!
 //! [`CollectorSink`] is the replay-side counterpart of
 //! [`radio_network::ChannelSink`]: every resolved round is re-encoded
@@ -7,12 +7,16 @@
 //! rendering) into an in-memory line list, so a replayed run can be
 //! compared byte-for-byte against the original file.
 //!
-//! [`run_dense`] drives **all** nodes through
-//! [`Network::resolve_round`] every round — no wake queue. By the
+//! [`run_dense`] polls **every** node every round — no wake queue — and
+//! hands the engine's one entry point, [`Network::resolve_round_sparse`],
+//! the full node list with sleepers included. By the
 //! [`radio_network::Protocol`] sleep contract (`next_wake` is "purely a
 //! cost optimization and must not change behavior"), this produces the
-//! same execution as [`radio_network::Simulation`]'s sparse `resolve_round_sparse`
-//! loop; the differential tests pin that equivalence on real traces.
+//! same execution as [`radio_network::Simulation`]'s wake-queue loop; the
+//! differential tests pin that equivalence on real traces. Both modes
+//! share the production round resolution: the dense mode checks the wake
+//! queue, and the engine itself is checked against
+//! [`radio_network::testing::ReferenceNetwork`] by its property tests.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -28,10 +32,9 @@ pub use radio_network::record_line;
 /// Which round-resolution engine drives a replay.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum EngineMode {
-    /// All nodes through [`Network::resolve_round`] every round.
+    /// Every node polled every round, no wake queue ([`run_dense`]).
     Dense,
-    /// The production [`radio_network::Simulation`] wake-queue loop
-    /// (`resolve_round_sparse`).
+    /// The production [`radio_network::Simulation`] wake-queue loop.
     Sparse,
 }
 
@@ -114,10 +117,11 @@ impl<M: Clone + fmt::Debug + Send> TraceSink<M> for CollectorSink<M> {
     }
 }
 
-/// Drive `nodes` for exactly `rounds` rounds with the dense engine,
-/// mirroring [`radio_network::Simulation`]'s per-round order: the adversary acts first
-/// (seeing the retained trace), then every node's `begin_round`, then
-/// [`Network::resolve_round`], then every node's `end_round` (with a
+/// Drive `nodes` for exactly `rounds` rounds, polling every node every
+/// round and mirroring [`radio_network::Simulation`]'s per-round order:
+/// the adversary acts first (seeing the retained trace), then every
+/// node's `begin_round`, then [`Network::resolve_round_sparse`] over all
+/// nodes (sleepers included), then every node's `end_round` (with a
 /// [`Reception`] iff it listened). Nodes are reseeded with
 /// [`seed::derive`]`(seed, i)` exactly as [`radio_network::Simulation::new`] does.
 ///
@@ -145,7 +149,7 @@ where
     for (i, node) in nodes.iter_mut().enumerate() {
         node.reseed(seed::derive(seed, i as u64));
     }
-    let mut actions: Vec<Action<P::Msg>> = Vec::with_capacity(nodes.len());
+    let mut actions: Vec<(NodeId, Action<P::Msg>)> = Vec::with_capacity(nodes.len());
     for _ in 0..rounds {
         let round = network.round();
         let adversary_action = {
@@ -158,14 +162,14 @@ where
             adversary.act(round, &view)
         };
         actions.clear();
-        for node in nodes.iter_mut() {
-            actions.push(node.begin_round(round));
+        for (i, node) in nodes.iter_mut().enumerate() {
+            actions.push((NodeId(i), node.begin_round(round)));
         }
         let resolution = network
-            .resolve_round(&actions, &adversary_action)
+            .resolve_round_sparse(&actions, &adversary_action)
             .map_err(|e| format!("round {round}: {e}"))?;
         for (i, node) in nodes.iter_mut().enumerate() {
-            let reception = match &actions[i] {
+            let reception = match &actions[i].1 {
                 Action::Listen { channel } => Some(Reception {
                     channel: *channel,
                     frame: resolution.reception_for(NodeId(i), *channel),

@@ -9,13 +9,11 @@
 //! a healthy trace bit-identically and exposes the first divergent
 //! round of a corrupted one.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
-use fame::longlived::LongLivedNode;
 use fame::longlived::{
-    run_longlived_streaming, LongLivedSession, ScriptEntry, LONGLIVED_TRACE_WINDOW,
+    run_longlived_streaming, session_nodes, LongLivedSession, ScriptEntry, LONGLIVED_TRACE_WINDOW,
 };
 use fame::protocol::{make_nodes, run_fame_streaming, FAME_TRACE_WINDOW};
 use fame::Params;
@@ -249,17 +247,7 @@ impl CorpusScenario {
                         return Err(format!("scripted sender {} has no group key", entry.sender));
                     }
                 }
-                let emulated_rounds = script.iter().map(|e| e.eround + 1).max().unwrap_or(0);
-                let nodes: Vec<LongLivedNode> = (0..*n)
-                    .map(|id| {
-                        let my_script = script
-                            .iter()
-                            .filter(|e| e.sender == id)
-                            .map(|e| (e.eround, e.message.clone()))
-                            .collect();
-                        LongLivedNode::new(id, params.clone(), keys[id], my_script, emulated_rounds)
-                    })
-                    .collect();
+                let nodes = session_nodes(&params, &keys, script, &[], 0);
                 let scripted: ScriptedAdversary<SealedBox> =
                     ScriptedAdversary::from_records(&trace.records, rounds, |s| {
                         Err(format!(
@@ -277,38 +265,7 @@ impl CorpusScenario {
                 let (service, params, session) = gateway_config(self)?;
                 let (script, rekeys) = session_plan(&service, session);
                 let keys = session_keys(&service, session);
-                // Node assembly mirrors `LongLivedSession::open` exactly:
-                // the session lasts max(horizon, last scripted eround + 1)
-                // emulated rounds and only keyed nodes carry the rekey
-                // schedule.
-                let emulated_rounds = script
-                    .iter()
-                    .map(|e| e.eround + 1)
-                    .max()
-                    .unwrap_or(0)
-                    .max(service.horizon);
-                let rekey_map: BTreeMap<u64, SymmetricKey> = rekeys.into_iter().collect();
-                let nodes: Vec<LongLivedNode> = (0..service.n)
-                    .map(|id| {
-                        let my_script = script
-                            .iter()
-                            .filter(|e| e.sender == id)
-                            .map(|e| (e.eround, e.message.clone()))
-                            .collect();
-                        let node = LongLivedNode::new(
-                            id,
-                            params.clone(),
-                            keys[id],
-                            my_script,
-                            emulated_rounds,
-                        );
-                        if keys[id].is_some() {
-                            node.with_rekeys(rekey_map.clone())
-                        } else {
-                            node
-                        }
-                    })
-                    .collect();
+                let nodes = session_nodes(&params, &keys, &script, &rekeys, service.horizon);
                 let scripted: ScriptedAdversary<SealedBox> =
                     ScriptedAdversary::from_records(&trace.records, rounds, |s| {
                         Err(format!(

@@ -1,6 +1,6 @@
 //! The committed golden corpus stays healthy: sidecars parse, traces
 //! are canonical and gap-free, the roster matches the files on disk,
-//! and a debug-build subset replays bit-identically on both engines
+//! and a debug-build subset replays bit-identically under both drivers
 //! (CI's `trace-replay` job re-drives the full set in release).
 
 use std::collections::BTreeSet;

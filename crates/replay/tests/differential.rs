@@ -1,6 +1,6 @@
 //! Satellite: replaying a recorded history-mining-jammer trace through
 //! `ScriptedAdversary` reproduces the original trace byte-identically
-//! under dense *and* sparse resolution — property-tested over seeds —
+//! under the dense *and* the wake-queue driver — property-tested over seeds —
 //! and a corrupted trace is bisected to the exact divergent round.
 
 use std::path::PathBuf;

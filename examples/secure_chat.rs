@@ -82,10 +82,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // What one listener saw:
     let listener = 17;
-    for (e, (sender, message)) in &session.received[listener] {
+    for a in &session.accepts[listener] {
         println!(
-            "  node {listener} @ slot {e}: <{sender}> {}",
-            String::from_utf8_lossy(message)
+            "  node {listener} @ slot {}: <{}> {}",
+            a.eround,
+            a.sender,
+            String::from_utf8_lossy(&a.message)
         );
     }
     assert!(rate > 0.99, "w.h.p. delivery should be near-perfect");

@@ -70,7 +70,7 @@ fn longlived_is_reproducible() {
     }];
     let a = run_longlived(&p, &keys, &script, RandomJammer::new(2), 7, false).unwrap();
     let b = run_longlived(&p, &keys, &script, RandomJammer::new(2), 7, false).unwrap();
-    assert_eq!(a.received, b.received);
+    assert_eq!(a.accepts, b.accepts);
     assert_eq!(a.rounds, b.rounds);
 }
 

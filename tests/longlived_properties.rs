@@ -122,14 +122,13 @@ fn replayed_frames_are_rejected() {
         run_longlived(&p, &keys(&p), &script(), ReplayAdversary::new(3), 53, false).unwrap();
     // Every accepted message must match the script entry for its slot —
     // a replay of slot-0's frame during slot 2 must not be accepted.
-    for (node, received) in report.received.iter().enumerate() {
-        for (e, (sender, message)) in received {
-            let genuine = script()
-                .iter()
-                .any(|s| s.eround == *e && s.sender == *sender && &s.message == message);
+    for (node, log) in report.accepts.iter().enumerate() {
+        for a in log {
+            let genuine = script().iter().any(|s| a.matches(s));
             assert!(
                 genuine,
-                "node {node} accepted a replayed/forged frame at slot {e}"
+                "node {node} accepted a replayed/forged frame at slot {}",
+                a.eround
             );
         }
     }
@@ -143,14 +142,100 @@ fn wrong_key_cannot_forge() {
         SealedBox::seal(&eve_key, round / 67, b"\x00\x00\x00\x02EVE SAYS HI")
     });
     let report = run_longlived(&p, &keys(&p), &script(), spoofer, 57, false).unwrap();
-    for received in &report.received {
-        for (_, message) in received.values() {
+    for log in &report.accepts {
+        for a in log {
             assert!(
-                !message.windows(3).any(|w| w == b"EVE"),
+                !a.message.windows(3).any(|w| w == b"EVE"),
                 "forged content accepted"
             );
         }
     }
+}
+
+/// Jams one random channel and spoofs another every round: the spoof
+/// alternates between a replay of the latest genuine frame seen on the
+/// air and a frame forged under the wrong key with the current nonce.
+struct JamAndSpoof {
+    latest: Option<SealedBox>,
+    eve: SymmetricKey,
+    epoch_len: u64,
+    rng: rand::rngs::SmallRng,
+}
+
+impl Adversary<SealedBox> for JamAndSpoof {
+    fn act(
+        &mut self,
+        round: u64,
+        view: &AdversaryView<'_, SealedBox>,
+    ) -> AdversaryAction<SealedBox> {
+        use rand::Rng;
+        if let Some(rec) = view.trace.last() {
+            if let Some((_, _, frame)) = rec.transmissions().next() {
+                self.latest = Some(frame.clone());
+            }
+        }
+        let jam = self.rng.gen_range(0..view.channels);
+        let spoof = (jam + self.rng.gen_range(1..view.channels)) % view.channels;
+        let forged = SealedBox::seal(&self.eve, round / self.epoch_len, b"\x00\x00\x00\x02EVE");
+        let frame = match &self.latest {
+            Some(genuine) if round.is_multiple_of(2) => genuine.clone(),
+            _ => forged,
+        };
+        let mut action = AdversaryAction::jam([ChannelId(jam)]);
+        action.push(ChannelId(spoof), Emission::Spoof(frame));
+        action
+    }
+
+    fn name(&self) -> &'static str {
+        "jam-and-spoof"
+    }
+}
+
+#[test]
+fn jammed_and_spoofed_logs_are_ordered_and_scripted() {
+    use rand::SeedableRng;
+    let p = params();
+    // Emulated rounds 1 and 4 carry no broadcast, so replayed frames land
+    // on a listening group and must be turned away by the nonce binding.
+    let script: Vec<ScriptEntry> = [
+        (0, 2, "alpha"),
+        (2, 9, "bravo"),
+        (3, 2, "charlie"),
+        (5, 30, "delta"),
+    ]
+    .into_iter()
+    .map(|(eround, sender, message)| ScriptEntry {
+        eround,
+        sender,
+        message: message.as_bytes().to_vec(),
+    })
+    .collect();
+    let adversary = JamAndSpoof {
+        latest: None,
+        eve: SymmetricKey::from_bytes([0xEE; 32]),
+        epoch_len: p.epoch_rounds(),
+        rng: rand::rngs::SmallRng::seed_from_u64(65),
+    };
+    let report = run_longlived(&p, &keys(&p), &script, adversary, 67, false).unwrap();
+    assert!(
+        report.stats.spoofs_delivered > 0,
+        "the spoofs must actually reach listeners"
+    );
+    for (node, log) in report.accepts.iter().enumerate() {
+        assert!(
+            log.windows(2).all(|w| w[0].eround < w[1].eround),
+            "node {node}: log not strictly increasing in emulated round: {log:?}"
+        );
+        for a in log {
+            assert!(
+                script.iter().any(|s| a.matches(s)),
+                "node {node} accepted an unscripted broadcast: {a:?}"
+            );
+        }
+    }
+    let holders = vec![true; p.n()];
+    let rate = report.delivery_rate(&script, &holders);
+    assert!(rate > 0.99, "delivery {rate} under jamming and spoofing");
 }
 
 #[test]
@@ -161,8 +246,8 @@ fn mixed_key_population_isolated() {
     ks[0] = None;
     ks[1] = None;
     let report = run_longlived(&p, &ks, &script(), RandomJammer::new(5), 59, false).unwrap();
-    assert!(report.received[0].is_empty());
-    assert!(report.received[1].is_empty());
+    assert!(report.accepts[0].is_empty());
+    assert!(report.accepts[1].is_empty());
     // Everyone else still gets everything.
     let holders: Vec<bool> = ks.iter().map(Option::is_some).collect();
     assert!(report.delivery_rate(&script(), &holders) > 0.999);
