@@ -17,8 +17,11 @@
 //!   bounded-window retention otherwise (`tests/zero_alloc.rs` pins the
 //!   zero with a counting allocator). `owned_last64` measures the
 //!   [`RoundView::to_resolution`] migration escape hatch for contrast.
-//! * `sinks/*` — the pluggable [`TraceSink`]s under full record
-//!   construction on a larger grid, where retention cost dominates.
+//! * `sinks/*` — where finished records go under full record
+//!   construction on a larger grid, where retention cost dominates: the
+//!   network's own `All` history, a streaming [`ChannelSink`] (the
+//!   [`TraceSink`](radio_network::TraceSink) observer) beside a
+//!   retention-off history, or nowhere.
 //! * `sparse/*` — O(active) resolution at fixed activity (24 awake nodes)
 //!   as the population grows: `dense_n*` rows list all `n` nodes
 //!   (sleepers as explicit [`Action::Sleep`], the way replay's dense
@@ -38,8 +41,8 @@
 use criterion::{black_box, summaries_json, Criterion, Summary};
 use radio_network::testing::{awake_actions, ReferenceNetwork};
 use radio_network::{
-    Action, AdversaryAction, ChannelId, ChannelSink, InMemorySink, Network, NetworkConfig, NodeId,
-    NullSink, OverflowPolicy, RoundView, Simulation, TraceRetention, TraceSink,
+    Action, AdversaryAction, ChannelId, ChannelSink, Network, NetworkConfig, NodeId,
+    OverflowPolicy, RoundView, Simulation, TraceRetention,
 };
 use secure_radio_bench::smoke;
 use std::fmt::Debug;
@@ -191,8 +194,10 @@ fn bench_arena<M: Clone + Debug + Send + 'static>(c: &mut Criterion, kind: &str,
 }
 
 /// The sink shoot-out: identical schedule and full record construction
-/// for every variant except the `NullSink` floor; only the destination of
-/// finished records differs.
+/// for every variant except the `null` floor (retention off, no sink: no
+/// record is built); only the destination of finished records differs —
+/// the network's own `All` history, a streaming sink beside a
+/// retention-off history, or nowhere.
 ///
 /// Unlike the `resolve_round/*` group, the network (and its sink) lives
 /// across *all* samples of a variant and each timed iteration advances it
@@ -218,34 +223,33 @@ fn bench_sinks<M: Clone + Debug + Send + 'static>(c: &mut Criterion, kind: &str,
         std::process::id()
     ));
 
-    type MakeSink<M> = Box<dyn Fn() -> Box<dyn TraceSink<M>>>;
-    let variants: Vec<(&str, MakeSink<M>)> = vec![
+    // (label, history retention, streaming policy if a sink is installed)
+    let variants = [
+        ("inmemory_all", TraceRetention::All, None),
         (
-            "inmemory_all",
-            Box::new(|| Box::new(InMemorySink::new(TraceRetention::All))),
+            "channel_block",
+            TraceRetention::None,
+            Some(OverflowPolicy::Block),
         ),
-        ("channel_block", {
-            let path = trace_path.clone();
-            Box::new(move || {
-                Box::new(
-                    ChannelSink::create(&path, SINK_QUEUE, OverflowPolicy::Block)
-                        .expect("create trace file"),
-                )
-            })
-        }),
-        ("channel_drop", {
-            let path = trace_path.clone();
-            Box::new(move || {
-                Box::new(
-                    ChannelSink::create(&path, SINK_QUEUE, OverflowPolicy::DropNewest)
-                        .expect("create trace file"),
-                )
-            })
-        }),
-        ("null", Box::new(|| Box::new(NullSink::new()))),
+        (
+            "channel_drop",
+            TraceRetention::None,
+            Some(OverflowPolicy::DropNewest),
+        ),
+        ("null", TraceRetention::None, None),
     ];
-    for (label, make_sink) in variants {
-        let mut net: Network<M> = Network::with_sink(cfg.clone(), make_sink());
+    for (label, retention, stream) in variants {
+        let cfg = cfg.clone().with_retention(retention);
+        let mut net: Network<M> = match stream {
+            Some(policy) => Network::with_sink(
+                cfg,
+                Box::new(
+                    ChannelSink::create(&trace_path, SINK_QUEUE, policy)
+                        .expect("create trace file"),
+                ),
+            ),
+            None => Network::new(cfg),
+        };
         let mut round = 0usize;
         group.bench_function(label, |b| {
             b.iter(|| {

@@ -12,6 +12,12 @@
 //! the usual escapes (including `\uXXXX` with surrogate pairs), numbers,
 //! `true`/`false`/`null`. Errors carry the byte offset of the offending
 //! input.
+//!
+//! The reader parses input from outside the program (trace lines, corpus
+//! sidecars, shard files), and it recurses once per `[` or `{`. Documents
+//! nested deeper than a fixed limit are therefore rejected with a
+//! [`JsonError`] instead of overflowing the stack; every document the
+//! workspace writes nests a handful of levels.
 
 /// A parsed JSON value.
 #[derive(Clone, PartialEq, Debug)]
@@ -61,6 +67,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -189,9 +196,16 @@ pub fn kind<'a>(v: &'a Json, context: &str) -> Result<&'a str, String> {
     str_field(v, "kind", context)
 }
 
+/// How many arrays and objects may enclose a value. The parser recurses
+/// once per level, so the bound keeps hostile input off the end of the
+/// stack.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -236,8 +250,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -246,6 +260,21 @@ impl Parser<'_> {
             Some(other) => Err(self.err(format!("unexpected character '{}'", other as char))),
             None => Err(self.err("unexpected end of input (truncated document?)")),
         }
+    }
+
+    /// Parse a container one nesting level down, refusing to go deeper
+    /// than [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -502,6 +531,24 @@ mod tests {
         ] {
             let err = Json::parse(torn).unwrap_err();
             assert!(!err.message.is_empty(), "no message for {torn:?}");
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        assert_eq!(err.offset, MAX_DEPTH);
+        // Without the bound, 100 000 levels overflow the stack and abort.
+        for hostile in [
+            "[".repeat(100_000),
+            "{\"a\":".repeat(100_000),
+            "[{\"a\":".repeat(50_000),
+        ] {
+            let err = Json::parse(&hostile).unwrap_err();
+            assert!(err.message.contains("nesting"), "{err}");
         }
     }
 

@@ -31,12 +31,12 @@
 //! ## Trace retention
 //!
 //! Multi-trial sweeps should not retain full execution traces (a long
-//! group-key setup can retain gigabytes). The fame-layer helpers inherit
-//! `run_fame`'s bounded `TraceRetention::LastRounds(64)`; custom trial
-//! closures that drive the engine directly should pick their policy with
-//! [`default_retention`] — `TraceRetention::None` (the allocation-free
-//! fast path) for multi-trial scenarios, keep-everything for one-shot
-//! runs where the trace is the product.
+//! group-key setup can retain gigabytes). Each run function fixes its own
+//! window — f-AME keeps `TraceRetention::LastRounds(FAME_TRACE_WINDOW)`,
+//! a long-lived session `LastRounds(LONGLIVED_TRACE_WINDOW)` — and the
+//! network keeps that history itself. A `--trace-out` sink
+//! ([`ScenarioSpec::trial_sink`]) only observes the run, so it cannot
+//! change the window.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -44,9 +44,9 @@ use std::sync::Mutex;
 use std::thread;
 
 use fame::problem::AmeInstance;
-use fame::protocol::{run_fame, run_fame_streaming, FAME_TRACE_WINDOW};
+use fame::protocol::{run_fame, run_fame_streaming};
 use fame::Params;
-use radio_network::{json_escape, TraceRetention};
+use radio_network::json_escape;
 
 use crate::scenario::ScenarioSpec;
 use crate::Table;
@@ -432,13 +432,10 @@ pub fn fame_run_for_trial(
     ctx: &TrialCtx<'_>,
 ) -> Result<fame::protocol::FameRun, TrialError> {
     let adversary = ctx.spec.adversary.build(params, instance.pairs(), ctx.seed);
-    let sink = ctx
-        .spec
-        .trial_sink(ctx.trial, TraceRetention::LastRounds(FAME_TRACE_WINDOW))
-        .map_err(|e| TrialError {
-            trial: ctx.trial,
-            message: format!("trace sink: {e}"),
-        })?;
+    let sink = ctx.spec.trial_sink(ctx.trial).map_err(|e| TrialError {
+        trial: ctx.trial,
+        message: format!("trace sink: {e}"),
+    })?;
     match sink {
         Some(sink) => run_fame_streaming(instance, params, adversary, ctx.seed, sink),
         None => run_fame(instance, params, adversary, ctx.seed),
@@ -477,17 +474,6 @@ pub fn fame_trial_outcome(
         ok: cover <= ctx.spec.t && violations == 0,
         dropped_records: run.stats.dropped_records,
     })
-}
-
-/// The trace-retention policy trial helpers should use: keep nothing for
-/// multi-trial sweeps (statistics stay exact), keep everything for
-/// one-shot runs where the trace *is* the product.
-pub fn default_retention(trials: usize) -> TraceRetention {
-    if trials > 1 {
-        TraceRetention::None
-    } else {
-        TraceRetention::All
-    }
 }
 
 /// A named collection of `(scenario, aggregate)` rows with a table and a
@@ -891,12 +877,6 @@ mod tests {
             json.contains("\"channel_model\":\"capture-t128\""),
             "{json}"
         );
-    }
-
-    #[test]
-    fn retention_default_bounded_for_sweeps() {
-        assert_eq!(default_retention(1), TraceRetention::All);
-        assert_eq!(default_retention(2), TraceRetention::None);
     }
 
     #[test]

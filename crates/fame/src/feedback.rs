@@ -242,12 +242,12 @@ where
     run_feedback_inner(params, witness_sets, flags, adversary, seed, None)
 }
 
-/// Like [`run_feedback`] but handing every finished round to `sink`
+/// Like [`run_feedback`] but showing every finished round to `sink`
 /// (e.g. a [`ChannelSink`](radio_network::ChannelSink) streaming the
-/// trace to a file). To stay bit-identical to [`run_feedback`], give the
-/// sink a retained `TraceRetention::All` history — the default in-memory
-/// trace a standalone invocation runs with — so trace-mining adversaries
-/// observe the same past.
+/// trace to a file). The network still retains the default
+/// `TraceRetention::All` history a standalone invocation runs with and
+/// the sink only observes, so trace-mining adversaries see the same past
+/// and the run is bit-identical to [`run_feedback`]'s.
 ///
 /// # Errors
 ///

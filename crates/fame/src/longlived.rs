@@ -310,13 +310,14 @@ where
     run_longlived_inner(params, keys, script, adversary, seed, keep_trace, None)
 }
 
-/// Like [`run_longlived`] but handing every finished round to `sink`
+/// Like [`run_longlived`] but showing every finished round to `sink`
 /// (e.g. a [`ChannelSink`](radio_network::ChannelSink) streaming the
-/// trace to a file). To keep the execution bit-identical to
-/// [`run_longlived`]'s `keep_trace = false` run, give the sink a retained
-/// history of `TraceRetention::LastRounds(`[`LONGLIVED_TRACE_WINDOW`]`)`
-/// so trace-mining adversaries observe the same past. The report's
-/// `trace` field is `None` — the stream is the product.
+/// trace to a file). The network still retains the
+/// `TraceRetention::LastRounds(`[`LONGLIVED_TRACE_WINDOW`]`)` history of
+/// a `keep_trace = false` run and the sink only observes, so trace-mining
+/// adversaries see the same past and the execution is bit-identical to
+/// [`run_longlived`]'s. The report's `trace` field is `None` — the stream
+/// is the product.
 ///
 /// # Errors
 ///
@@ -411,9 +412,10 @@ impl<A: Adversary<SealedBox>> LongLivedSession<A> {
     /// see [`LongLivedNode::with_rekeys`]). The session lasts
     /// `max(horizon, last scripted eround + 1)` emulated rounds — pass
     /// `horizon = 0` to derive the length from the script alone, as
-    /// [`run_longlived`] does. `retention` is the in-memory history the
-    /// adversary observes; `sink` optionally streams finished rounds
-    /// (e.g. to a trace file).
+    /// [`run_longlived`] does. `retention` is the history the network
+    /// keeps and the adversary observes; `sink` optionally observes
+    /// finished rounds (e.g. streaming them to a trace file) without
+    /// changing that history.
     ///
     /// # Errors
     ///

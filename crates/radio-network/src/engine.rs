@@ -19,10 +19,12 @@
 //!   *not* copied into the arena — they are borrowed from the caller's
 //!   action list and adversary action through the returned
 //!   [`RoundView`];
-//! * when the installed [`TraceSink`] keeps records, the
-//!   [`RoundRecord`] is built in a **record arena** (one `RoundRecord`
-//!   whose vectors are cleared and refilled each round) and handed to the
-//!   sink by reference — sinks copy only what they retain or stream.
+//! * when the network's history keeps records or a [`TraceSink`] is
+//!   installed, the [`RoundRecord`] is built in a **record arena** (one
+//!   `RoundRecord` whose vectors are cleared and refilled each round),
+//!   shown to the sink by reference, then swapped into the history
+//!   ([`Trace::push_swap`]) — a bounded window retains a round without
+//!   copying it.
 //!
 //! ## The active-channel worklist
 //!
@@ -46,7 +48,7 @@
 //! one independent, deliberately naive copy of the round rule; the
 //! equivalence property tests hold this engine to it.
 //!
-//! The result: with retention off (or a [`NullSink`]) a steady-state round
+//! The result: with retention off and no sink a steady-state round
 //! performs **zero** heap allocations (verified by the counting-allocator
 //! test in `tests/zero_alloc.rs`), and with a bounded in-memory window the
 //! retained records are recycled in place. Consumers that want the old
@@ -59,7 +61,7 @@ use crate::channel_model::{
 };
 use crate::error::EngineError;
 use crate::node::{Action, ChannelId, NodeId};
-use crate::sink::{InMemorySink, NullSink, TraceSink};
+use crate::sink::TraceSink;
 use crate::stats::Stats;
 use crate::trace::{RoundRecord, Trace, TraceRetention};
 
@@ -275,7 +277,8 @@ struct RoundArena<M> {
     adv_idx: Vec<Option<u32>>,
     /// Per-channel outcome tags.
     slots: Vec<ChannelSlot>,
-    /// Record arena: rebuilt in place each round the sink keeps records.
+    /// Record arena: rebuilt in place each round the history keeps
+    /// records or a sink is installed.
     record: RoundRecord<M>,
 }
 
@@ -678,8 +681,9 @@ impl<M: Clone> RoundView<'_, M> {
     }
 }
 
-/// The radio medium: resolves rounds, hands each finished round to a
-/// [`TraceSink`], and accumulates [`Stats`].
+/// The radio medium: resolves rounds, keeps the execution history (one
+/// [`Trace`] under the config's [`TraceRetention`]), shows each finished
+/// round to an optional [`TraceSink`], and accumulates [`Stats`].
 ///
 /// `Network` is deliberately free of nodes and adversaries — it is a pure
 /// referee. Use [`Simulation`](crate::Simulation) to drive full protocol
@@ -689,7 +693,11 @@ impl<M: Clone> RoundView<'_, M> {
 pub struct Network<M> {
     cfg: NetworkConfig,
     round: u64,
-    sink: Box<dyn TraceSink<M>>,
+    /// The execution history: what the adversary mines and what
+    /// [`Network::trace`] returns.
+    trace: Trace<M>,
+    /// An observer shown every finished record before it is retained.
+    sink: Option<Box<dyn TraceSink<M>>>,
     stats: Stats,
     arena: RoundArena<M>,
     /// The live channel model built from the config's spec.
@@ -700,33 +708,33 @@ pub struct Network<M> {
 }
 
 impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
-    /// A fresh network at round 0, observing rounds with the default
-    /// in-memory sink: [`NullSink`] under [`TraceRetention::None`],
-    /// [`InMemorySink`] with the config's retention otherwise.
+    /// A fresh network at round 0 whose history retains rounds per the
+    /// config's [`retention`](NetworkConfig::retention). Under
+    /// [`TraceRetention::None`] (and with no sink) the engine never builds
+    /// a record — the allocation-free fast path.
     pub fn new(cfg: NetworkConfig) -> Self {
-        let sink: Box<dyn TraceSink<M>> = match cfg.retention() {
-            TraceRetention::None => Box::new(NullSink::new()),
-            retention => Box::new(InMemorySink::new(retention)),
-        };
-        Network::with_sink(cfg, sink)
-    }
-
-    /// A fresh network handing every finished round to `sink` instead of
-    /// the default in-memory trace. The config's
-    /// [`retention`](NetworkConfig::retention) is ignored — the sink
-    /// alone decides what is stored (and whether records are built at
-    /// all, via [`TraceSink::wants_records`]).
-    pub fn with_sink(cfg: NetworkConfig, sink: Box<dyn TraceSink<M>>) -> Self {
         let arena = RoundArena::new(cfg.channels());
         let model = cfg.channel_model().build();
         Network {
+            trace: Trace::new(cfg.retention()),
             cfg,
             round: 0,
-            sink,
+            sink: None,
             stats: Stats::default(),
             arena,
             model,
             model_seed: 0,
+        }
+    }
+
+    /// Like [`Network::new`] — the same history under the same
+    /// retention — plus `sink`, shown every finished round's record. The
+    /// sink only observes: the history, and with it everything a
+    /// history-mining adversary sees, is the unobserved network's.
+    pub fn with_sink(cfg: NetworkConfig, sink: Box<dyn TraceSink<M>>) -> Self {
+        Network {
+            sink: Some(sink),
+            ..Network::new(cfg)
         }
     }
 
@@ -752,15 +760,11 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
         self.round
     }
 
-    /// The execution history retained by the sink (empty — but with an
-    /// exact completed-round count — for streaming/null sinks).
+    /// The execution history, retained per the config's
+    /// [`retention`](NetworkConfig::retention) (empty — but with an exact
+    /// completed-round count — under [`TraceRetention::None`]).
     pub fn trace(&self) -> &Trace<M> {
-        self.sink.history()
-    }
-
-    /// The sink observing this network's rounds.
-    pub fn sink(&self) -> &dyn TraceSink<M> {
-        self.sink.as_ref()
+        &self.trace
     }
 
     /// The accumulated statistics.
@@ -769,18 +773,17 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
     }
 
     /// Swap the network's configuration mid-suite, keeping the warm
-    /// round arena, the installed sink, the round counter, and the
-    /// accumulated [`Stats`].
+    /// round arena, the history, the installed sink, the round counter,
+    /// and the accumulated [`Stats`].
     ///
     /// Intended for experiment suites that re-point one long-lived network
     /// at successive `(C, t)` operating points without paying arena
     /// warm-up per point. The arena re-sizes its per-channel storage on
     /// the next round; no span, listener, or slot from the previous
-    /// configuration survives (`tests` pin this). The *sink* is kept as
-    /// is — [`NetworkConfig::retention`] only selects a sink at
-    /// construction time, so reconfigure with a different retention has no
-    /// retroactive effect; install a new sink via [`Network::with_sink`]
-    /// construction if the retention policy itself must change.
+    /// configuration survives (`tests` pin this). The history keeps the
+    /// retention it was built with: [`NetworkConfig::retention`] is read
+    /// only at construction, so build a new network if the retention
+    /// policy itself must change.
     pub fn reconfigure(&mut self, cfg: NetworkConfig) {
         // Rebuild the model only when the spec changed, so re-pointing a
         // long-lived network at successive (C, t) points stays cheap.
@@ -843,7 +846,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
         // -- gather + validate honest actions in one pass ------------------
         // A validation failure may leave the arena partially filled: it is
         // scratch, fully invalidated by the next round's `begin` (epoch
-        // bump), and no stats, round counter, or sink effect has happened
+        // bump), and no stats, round counter, or history effect has happened
         // yet. Honest-channel errors are detected before the adversary
         // checks in `finish`.
         for (src, (node, action)) in actions.iter().enumerate() {
@@ -911,8 +914,9 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
     /// The shared second half of round resolution: validate the adversary
     /// (touching its channels onto the worklist), sort the worklist into
     /// channel-major order, build transmitter + listener spans, resolve
-    /// outcome tags, accumulate stats, and hand the record to the sink —
-    /// every per-channel step iterating the active worklist only.
+    /// outcome tags, accumulate stats, and record the round (sink, then
+    /// history) — every per-channel step iterating the active worklist
+    /// only.
     fn finish(
         &mut self,
         actions: &[(NodeId, Action<M>)],
@@ -1140,7 +1144,8 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
         }
 
         // -- trace (record arena, rebuilt in place, SoA) -------------------
-        if self.sink.wants_records() {
+        let keeps_records = self.trace.retention().keeps_records();
+        if keeps_records || self.sink.is_some() {
             {
                 let diverges = self.model.diverges();
                 let model = self.model.as_ref();
@@ -1267,12 +1272,21 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
                     }
                 }
             }
-            self.sink.record_mut(&mut self.arena.record);
-            // Lossy sinks (bounded channel, drop policy) discard records;
-            // mirror their counter so lossiness is visible in the stats.
-            self.stats.dropped_records = self.sink.dropped_records();
+            // The sink sees the record first; the history then takes its
+            // buffers by swap.
+            if let Some(sink) = &mut self.sink {
+                sink.record(&self.arena.record);
+                // Lossy sinks (bounded channel, drop policy) discard
+                // records; mirror their counter into the stats.
+                self.stats.dropped_records = sink.dropped_records();
+            }
+            if keeps_records {
+                self.trace.push_swap(&mut self.arena.record);
+            } else {
+                self.trace.note_round();
+            }
         } else {
-            self.sink.note_round();
+            self.trace.note_round();
         }
 
         self.round += 1;
@@ -1563,6 +1577,26 @@ mod tests {
         assert_eq!(lean.trace().completed_rounds(), 20);
         assert!(lean.trace().is_empty());
         assert_eq!(traced.trace().len(), 20);
+    }
+
+    #[test]
+    fn reconfigure_keeps_the_history_and_its_retention() {
+        let mut net: Network<u32> =
+            Network::new(cfg().with_retention(TraceRetention::LastRounds(2)));
+        resolve(&mut net, &[tx(0, 1), listen(0)], AdversaryAction::idle()).unwrap();
+        net.reconfigure(cfg().with_retention(TraceRetention::None));
+        for round in 2..5 {
+            resolve(
+                &mut net,
+                &[tx(1, round), listen(1)],
+                AdversaryAction::idle(),
+            )
+            .unwrap();
+        }
+        assert_eq!(net.trace().retention(), TraceRetention::LastRounds(2));
+        assert_eq!(net.trace().completed_rounds(), 4);
+        let kept: Vec<u64> = net.trace().records().map(|r| r.round).collect();
+        assert_eq!(kept, vec![2, 3]);
     }
 
     #[test]

@@ -97,11 +97,10 @@ where
         Self::assemble(nodes, adversary, Network::new(cfg), seed)
     }
 
-    /// Like [`Simulation::new`], but the network hands every finished
-    /// round to `sink` instead of the default in-memory trace (see
-    /// [`Network::with_sink`]). Node seeding is identical, so for sinks
-    /// that retain the same history a run is bit-identical to
-    /// [`Simulation::new`]'s.
+    /// Like [`Simulation::new`], plus `sink`, shown every finished round's
+    /// record (see [`Network::with_sink`]). The history is still the one
+    /// `cfg`'s retention asks for and node seeding is identical, so the
+    /// run is bit-identical to [`Simulation::new`]'s.
     ///
     /// # Errors
     ///

@@ -1,7 +1,8 @@
 //! Integration tests for the [`TraceSink`] pipeline: bounded-queue
 //! backpressure, drop-policy accounting, flush-on-drop, and the central
-//! determinism property — streaming a trace off the round loop must not
-//! change the execution.
+//! determinism property — a sink only observes, so streaming a trace off
+//! the round loop must not change the execution or the history it
+//! retains.
 
 use std::io::{self, Write};
 use std::path::PathBuf;
@@ -13,7 +14,7 @@ use proptest::prelude::*;
 use radio_network::adversaries::BusyChannelJammer;
 use radio_network::testing::BeaconNode;
 use radio_network::{
-    record_line, ChannelSink, InMemorySink, NetworkConfig, OverflowPolicy, RoundRecord, Simulation,
+    record_line, ChannelSink, NetworkConfig, OverflowPolicy, RoundRecord, Simulation,
     TraceRetention, TraceSink,
 };
 
@@ -133,7 +134,6 @@ fn drop_policy_counts_exactly_the_overflow() {
         sink.record(&record(r));
     }
     assert_eq!(sink.dropped_records(), 7);
-    assert_eq!(sink.history().completed_rounds(), 10);
 
     let (lock, cvar) = &*gate;
     *lock.lock().unwrap() = true;
@@ -209,15 +209,23 @@ fn simulation_drop_flushes_streamed_trace() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Run the beacon/busy-jammer stack with the given sink; return what the
-/// sink retained in memory, rendered through the shared encoder.
-fn run_stack(seed: u64, sink: Box<dyn TraceSink<u64>>) -> (u64, Vec<String>) {
-    let cfg = NetworkConfig::new(4, 2).unwrap();
-    let nodes: Vec<BeaconNode> = (0..8).map(|i| BeaconNode::new(i, 4, 30)).collect();
-    // A history-mining adversary: any divergence in what the sink exposes
-    // as history changes its jamming choices, and with them the trace.
+/// Run the beacon/busy-jammer stack under `retention`, with `sink`
+/// installed if given; return the round count and the retained history,
+/// rendered through the shared encoder.
+fn run_stack(
+    seed: u64,
+    retention: TraceRetention,
+    sink: Option<Box<dyn TraceSink<u64>>>,
+) -> (u64, Vec<String>) {
+    let cfg = NetworkConfig::new(4, 2).unwrap().with_retention(retention);
+    let nodes: Vec<BeaconNode> = (0..8).map(|i| BeaconNode::new(i, 4, 40)).collect();
+    // A history-mining adversary: any divergence in the history it sees
+    // changes its jamming choices, and with them the trace.
     let adversary = BusyChannelJammer::new(seed ^ 0xAD, 16);
-    let mut sim = Simulation::with_sink(cfg, nodes, adversary, seed, sink).unwrap();
+    let mut sim = match sink {
+        Some(sink) => Simulation::with_sink(cfg, nodes, adversary, seed, sink).unwrap(),
+        None => Simulation::new(cfg, nodes, adversary, seed).unwrap(),
+    };
     let rounds = sim.run(1_000).unwrap().rounds;
     let lines = sim
         .trace()
@@ -227,33 +235,54 @@ fn run_stack(seed: u64, sink: Box<dyn TraceSink<u64>>) -> (u64, Vec<String>) {
     (rounds, lines)
 }
 
+/// `All`, or a window of 1 to 24 rounds (shorter and longer than the
+/// jammer's 16-round look-back).
+fn retention() -> impl Strategy<Value = TraceRetention> {
+    (0usize..=24).prop_map(|k| match k {
+        0 => TraceRetention::All,
+        k => TraceRetention::LastRounds(k),
+    })
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The tentpole property: for any seed, streaming records through a
-    /// bounded channel to a background writer (ChannelSink) yields the
-    /// exact same record sequence as the classic in-memory trace — no
-    /// behavioral drift from moving tracing off-thread.
+    /// The central property: the network owns the history and a sink
+    /// only observes. For any seed and retention, a run streaming to a
+    /// ChannelSink retains exactly the history of the same run without
+    /// one — so the history-mining jammer plays identically — and the
+    /// streamed file holds every round, ending with the retained window.
     #[test]
-    fn channel_sink_matches_in_memory_sink(seed in any::<u64>()) {
-        let path = tmp_path(&format!("prop-{seed:x}"));
-        let (mem_rounds, mem_lines) =
-            run_stack(seed, Box::new(InMemorySink::new(TraceRetention::All)));
-        let sink = ChannelSink::create(&path, 4, OverflowPolicy::Block)
-            .unwrap()
-            .with_history(TraceRetention::All);
-        let (ch_rounds, ch_lines) = run_stack(seed, Box::new(sink));
+    fn channel_sink_observes_without_changing_history(
+        seed in any::<u64>(),
+        retention in retention(),
+    ) {
+        let path = tmp_path(&format!("prop-{seed:x}-{retention:?}"));
+        let (plain_rounds, plain_lines) = run_stack(seed, retention, None);
+        let sink = ChannelSink::create(&path, 4, OverflowPolicy::Block).unwrap();
+        let (ch_rounds, ch_lines) = run_stack(seed, retention, Some(Box::new(sink)));
 
-        prop_assert_eq!(mem_rounds, ch_rounds);
-        prop_assert_eq!(&mem_lines, &ch_lines);
+        prop_assert_eq!(plain_rounds, ch_rounds);
+        prop_assert_eq!(&plain_lines, &ch_lines);
+        let expected_len = match retention {
+            TraceRetention::LastRounds(k) => (ch_rounds as usize).min(k),
+            _ => ch_rounds as usize,
+        };
+        prop_assert_eq!(ch_lines.len(), expected_len);
 
-        // And the streamed file holds exactly the same lines, in order.
+        // The file holds every round, in order, and its tail is the
+        // retained window.
         let file_lines: Vec<String> = std::fs::read_to_string(&path)
             .unwrap()
             .lines()
             .map(str::to_owned)
             .collect();
         std::fs::remove_file(&path).ok();
-        prop_assert_eq!(&mem_lines, &file_lines);
+        prop_assert_eq!(file_lines.len() as u64, ch_rounds);
+        for (r, line) in file_lines.iter().enumerate() {
+            let prefix = format!("{{\"round\":{r},");
+            prop_assert!(line.starts_with(&prefix), "line {} is {}", r, line);
+        }
+        prop_assert_eq!(&file_lines[file_lines.len() - ch_lines.len()..], &ch_lines[..]);
     }
 }

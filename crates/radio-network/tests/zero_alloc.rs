@@ -3,8 +3,7 @@
 //! allocations** —
 //!
 //! * with trace retention off (`Network::new` under
-//!   `TraceRetention::None`),
-//! * with an explicit [`NullSink`],
+//!   `TraceRetention::None`, no sink: no record is ever built),
 //! * with a *bounded in-memory window* (`LastRounds(k)`), where the
 //!   record arena plus [`Trace::push_ref`]'s recycling keep even the
 //!   retention-on loop allocation-free for inline frames,
@@ -24,8 +23,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use radio_network::adversaries::NoAdversary;
 use radio_network::testing::awake_actions;
 use radio_network::{
-    Action, AdversaryAction, ChannelId, ChannelModelSpec, Network, NetworkConfig, NodeId, NullSink,
-    Protocol, Reception, Simulation, TraceRetention,
+    Action, AdversaryAction, ChannelId, ChannelModelSpec, Network, NetworkConfig, NodeId, Protocol,
+    Reception, Simulation, TraceRetention,
 };
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -268,7 +267,7 @@ fn steady_state_round_loop_allocates_nothing() {
         .map(|r| AdversaryAction::jam([ChannelId(r % CHANNELS), ChannelId((r + 3) % CHANNELS)]))
         .collect();
 
-    // 1. Retention off (Network::new installs a NullSink).
+    // 1. Retention off, no sink: the engine never builds a record.
     let cfg_off = NetworkConfig::new(CHANNELS, 2)
         .unwrap()
         .with_retention(TraceRetention::None);
@@ -279,15 +278,7 @@ fn steady_state_round_loop_allocates_nothing() {
     });
     assert_eq!(net.stats().rounds as usize, WARMUP + MEASURED);
 
-    // 2. Explicit NullSink.
-    let cfg = NetworkConfig::new(CHANNELS, 2).unwrap();
-    let mut net: Network<u64> = Network::with_sink(cfg, Box::new(NullSink::new()));
-    drive(&mut net, &schedule, &adversaries, WARMUP);
-    assert_zero_alloc("NullSink", || {
-        drive(&mut net, &schedule, &adversaries, MEASURED);
-    });
-
-    // 3. Bounded in-memory retention: the record arena plus
+    // 2. Bounded in-memory retention: the record arena plus
     //    Trace::push_ref's window recycling keep even the retention-on
     //    loop off the allocator once the window has filled and every
     //    recycled record's vectors have seen the schedule's maxima.
@@ -301,7 +292,7 @@ fn steady_state_round_loop_allocates_nothing() {
     });
     assert_eq!(net.trace().len(), 64);
 
-    // 4. The full Simulation driver: reused action buffer, borrowed
+    // 3. The full Simulation driver: reused action buffer, borrowed
     //    receptions, idle adversary (a jamming Adversary impl returns an
     //    owned action per round, which is the attacker's allocation, not
     //    the driver's).
@@ -327,7 +318,7 @@ fn steady_state_round_loop_allocates_nothing() {
     let heard: u64 = sim.nodes().iter().map(|n| n.frames_heard).sum();
     assert!(heard > 0, "the lean protocol must actually communicate");
 
-    // 5. The sparse path at large n: 100 000 nodes of which 8 are awake.
+    // 4. The sparse path at large n: 100 000 nodes of which 8 are awake.
     //    Round 0 visits everyone (heap + action buffer reach their
     //    high-water marks) and drains the 99 992 never-waking sleepers
     //    from the queue; from then on each round touches only the awake
@@ -360,7 +351,7 @@ fn steady_state_round_loop_allocates_nothing() {
         "the awake minority must actually communicate"
     );
 
-    // 6. A diverging channel model (Lossy at 25% drop): per-listener
+    // 5. A diverging channel model (Lossy at 25% drop): per-listener
     //    outcomes are pure derive() draws with no sequential state, and
     //    the record arena's reception vectors recycle like every other
     //    column, so the model layer adds nothing to the steady-state

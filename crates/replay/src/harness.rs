@@ -173,10 +173,10 @@ fn reject_unknown_fields(v: &Json, allowed: &[&str], context: &str) -> Result<()
 }
 
 /// Drive a prepared node vector against a scripted schedule for exactly
-/// `rounds` rounds and return the re-encoded lines.
+/// `rounds` rounds and return the re-encoded lines. The history the run
+/// retains is `cfg`'s.
 fn drive<P>(
     cfg: NetworkConfig,
-    retention: TraceRetention,
     nodes: Vec<P>,
     scripted: ScriptedAdversary<P::Msg>,
     seed: u64,
@@ -187,7 +187,7 @@ where
     P: Protocol,
     P::Msg: fmt::Debug + Send + 'static,
 {
-    let (sink, lines) = CollectorSink::new(retention);
+    let (sink, lines) = CollectorSink::new();
     match mode {
         EngineMode::Dense => {
             run_dense(cfg, nodes, scripted, seed, rounds, Box::new(sink))?;
@@ -221,12 +221,11 @@ impl CorpusScenario {
                     .map_err(|e| format!("assemble f-AME nodes: {e}"))?;
                 let scripted =
                     ScriptedAdversary::from_records(&trace.records, rounds, decode_fame_frame)?;
-                let retention = TraceRetention::LastRounds(FAME_TRACE_WINDOW);
                 let cfg = NetworkConfig::new(params.c(), params.t())
                     .map_err(|e| format!("network config: {e}"))?
-                    .with_retention(retention)
+                    .with_retention(TraceRetention::LastRounds(FAME_TRACE_WINDOW))
                     .with_channel_model(spec.channel_model.clone());
-                drive(cfg, retention, nodes, scripted, seed, rounds, mode)
+                drive(cfg, nodes, scripted, seed, rounds, mode)
             }
             CorpusScenario::LongLived {
                 n,
@@ -255,11 +254,10 @@ impl CorpusScenario {
                              SealedBox from \"{s}\""
                         ))
                     })?;
-                let retention = TraceRetention::LastRounds(LONGLIVED_TRACE_WINDOW);
                 let cfg = NetworkConfig::new(params.c(), params.t())
                     .map_err(|e| format!("network config: {e}"))?
-                    .with_retention(retention);
-                drive(cfg, retention, nodes, scripted, *seed, rounds, mode)
+                    .with_retention(TraceRetention::LastRounds(LONGLIVED_TRACE_WINDOW));
+                drive(cfg, nodes, scripted, *seed, rounds, mode)
             }
             CorpusScenario::Gateway { .. } => {
                 let (service, params, session) = gateway_config(self)?;
@@ -273,13 +271,11 @@ impl CorpusScenario {
                              SealedBox from \"{s}\""
                         ))
                     })?;
-                let retention = TraceRetention::LastRounds(LONGLIVED_TRACE_WINDOW);
                 let cfg = NetworkConfig::new(params.c(), params.t())
                     .map_err(|e| format!("network config: {e}"))?
-                    .with_retention(retention);
+                    .with_retention(TraceRetention::LastRounds(LONGLIVED_TRACE_WINDOW));
                 drive(
                     cfg,
-                    retention,
                     nodes,
                     scripted,
                     session_engine_seed(&service, session),
@@ -305,8 +301,7 @@ impl CorpusScenario {
                 let adversary = spec.adversary.build(&params, instance.pairs(), seed);
                 let mut sink =
                     ChannelSink::create(path, TRACE_QUEUE_CAPACITY, OverflowPolicy::Block)
-                        .map_err(|e| format!("create {}: {e}", path.display()))?
-                        .with_history(TraceRetention::LastRounds(FAME_TRACE_WINDOW));
+                        .map_err(|e| format!("create {}: {e}", path.display()))?;
                 if !spec.channel_model.is_ideal() {
                     sink = sink.with_header(spec.channel_model.header_line());
                 }
@@ -330,8 +325,7 @@ impl CorpusScenario {
                     .collect();
                 let adversary = noise_adversary::<SealedBox>(adversary, *seed)?;
                 let sink = ChannelSink::create(path, TRACE_QUEUE_CAPACITY, OverflowPolicy::Block)
-                    .map_err(|e| format!("create {}: {e}", path.display()))?
-                    .with_history(TraceRetention::LastRounds(LONGLIVED_TRACE_WINDOW));
+                    .map_err(|e| format!("create {}: {e}", path.display()))?;
                 run_longlived_streaming(&params, &keys, script, adversary, *seed, Box::new(sink))
                     .map_err(|e| format!("record long-lived run: {e}"))?;
                 Ok(())
@@ -341,8 +335,7 @@ impl CorpusScenario {
                 let (script, rekeys) = session_plan(&service, session);
                 let keys = session_keys(&service, session);
                 let sink = ChannelSink::create(path, TRACE_QUEUE_CAPACITY, OverflowPolicy::Block)
-                    .map_err(|e| format!("create {}: {e}", path.display()))?
-                    .with_history(TraceRetention::LastRounds(LONGLIVED_TRACE_WINDOW));
+                    .map_err(|e| format!("create {}: {e}", path.display()))?;
                 let mut live = LongLivedSession::open(
                     &params,
                     &keys,
