@@ -50,13 +50,16 @@ fn encode(sender: usize, eround: u64, message: &[u8]) -> Vec<u8> {
     out
 }
 
-fn decode(bytes: &[u8]) -> Option<(usize, u64, Vec<u8>)> {
+/// Split an opened frame into `(sender, eround, message)`, reusing the
+/// plaintext's buffer for the message.
+fn decode(mut bytes: Vec<u8>) -> Option<(usize, u64, Vec<u8>)> {
     if bytes.len() < 12 {
         return None;
     }
     let sender = u32::from_be_bytes(bytes[0..4].try_into().ok()?) as usize;
     let eround = u64::from_be_bytes(bytes[4..12].try_into().ok()?);
-    Some((sender, eround, bytes[12..].to_vec()))
+    bytes.drain(..12);
+    Some((sender, eround, bytes))
 }
 
 /// One accepted broadcast, as the accepting node logged it: which
@@ -86,6 +89,12 @@ impl Accept {
 }
 
 /// A participant in the emulated channel.
+///
+/// A keyed node caches the crypto that repeats: the [`ChannelHopper`] of
+/// its current key, built on its first keyed round and again after each
+/// rekey, and the frame it broadcasts, sealed once per emulated round.
+/// Neither cache is visible: every round hops and transmits exactly what
+/// a fresh hopper and a fresh seal under the current key would.
 #[derive(Clone, Debug)]
 pub struct LongLivedNode {
     id: usize,
@@ -93,8 +102,15 @@ pub struct LongLivedNode {
     key: Option<SymmetricKey>,
     /// My scripted broadcasts: emulated round -> message.
     script: BTreeMap<u64, Vec<u8>>,
-    /// Scheduled key rotations: from emulated round -> new group key.
-    rekeys: BTreeMap<u64, SymmetricKey>,
+    /// Scheduled key rotations `(from emulated round, new group key)`,
+    /// in descending order so the next one due is popped off the end.
+    rekeys: Vec<(u64, SymmetricKey)>,
+    /// The hop sequence of `key`; `None` until the next keyed round
+    /// builds it.
+    hopper: Option<ChannelHopper>,
+    /// My last sealed broadcast. Its nonce is its emulated round, so a
+    /// frame from an earlier emulated round (or key) is stale by nonce.
+    frame: Option<SealedBox>,
     epoch_len: u64,
     emulated_rounds: u64,
     /// Acceptance log, one entry per accepted broadcast, strictly
@@ -121,7 +137,9 @@ impl LongLivedNode {
             params,
             key,
             script,
-            rekeys: BTreeMap::new(),
+            rekeys: Vec::new(),
+            hopper: None,
+            frame: None,
             emulated_rounds,
             accepts: Vec::with_capacity(emulated_rounds as usize),
             round: 0,
@@ -135,7 +153,7 @@ impl LongLivedNode {
     /// re-run); nodes outside the keyed group ignore it.
     #[must_use]
     pub fn with_rekeys(mut self, rekeys: BTreeMap<u64, SymmetricKey>) -> Self {
-        self.rekeys = rekeys;
+        self.rekeys = rekeys.into_iter().rev().collect();
         self
     }
 
@@ -166,28 +184,36 @@ impl Protocol for LongLivedNode {
         // Key rotation: apply every scheduled rekey due at or before this
         // emulated round. All keyed nodes carry the same schedule, so the
         // whole group switches hop sequence and sealing key in lockstep
-        // at the epoch boundary. (`pop_first` only releases tree nodes —
-        // no allocation on the steady-state tick.)
-        while self
-            .rekeys
-            .first_key_value()
-            .is_some_and(|(&at, _)| at <= e)
-        {
-            if let Some((_, key)) = self.rekeys.pop_first() {
-                self.key = Some(key);
-            }
+        // at the epoch boundary. Popping the schedule never allocates,
+        // and the next keyed round rebuilds the hopper in place.
+        while let Some(&(_, key)) = self.rekeys.last().filter(|(at, _)| *at <= e) {
+            self.rekeys.pop();
+            self.key = Some(key);
+            self.hopper = None;
         }
         let Some(key) = &self.key else {
             return Action::Sleep; // outside the keyed group
         };
-        let channel = ChannelId(ChannelHopper::new(key, self.params.c()).channel_for(self.round));
-        match self.script.get(&e) {
-            Some(message) => Action::Transmit {
-                channel,
-                frame: SealedBox::seal(key, e, &encode(self.id, e, message)),
-            },
-            None => Action::Listen { channel },
-        }
+        let channels = self.params.c();
+        let hopper = self
+            .hopper
+            .get_or_insert_with(|| ChannelHopper::new(key, channels));
+        let channel = ChannelId(hopper.channel_for(round));
+        let Some(message) = self.script.get(&e) else {
+            return Action::Listen { channel };
+        };
+        // One seal per emulated round: sealing is deterministic in
+        // `(key, e, plaintext)` and the key changes only at emulated-round
+        // boundaries, so the frame sealed under nonce `e` is the frame for
+        // every physical round of `e`.
+        let frame = match &self.frame {
+            Some(frame) if frame.nonce == e => frame.clone(),
+            _ => self
+                .frame
+                .insert(SealedBox::seal(key, e, &encode(self.id, e, message)))
+                .clone(),
+        };
+        Action::Transmit { channel, frame }
     }
 
     fn end_round(&mut self, round: u64, reception: Option<Reception<&SealedBox>>) {
@@ -208,9 +234,7 @@ impl Protocol for LongLivedNode {
             // Authentication: MAC must verify under K *and* the frame must
             // belong to this emulated round (nonce binding stops replays).
             if sealed.nonce == e {
-                if let Some((sender, eround, message)) =
-                    sealed.open(key).and_then(|plain| decode(&plain))
-                {
+                if let Some((sender, eround, message)) = sealed.open(key).and_then(decode) {
                     if eround == e {
                         self.accepts.push(Accept {
                             round,
@@ -370,7 +394,15 @@ pub fn session_nodes(
 ) -> Vec<LongLivedNode> {
     assert_eq!(keys.len(), params.n(), "one key slot per node");
     let emulated_rounds = session_length(script, horizon);
-    let rekey_map: BTreeMap<u64, SymmetricKey> = rekeys.iter().copied().collect();
+    // Built once and cloned per keyed node: the descending schedule
+    // `with_rekeys` would derive from the same map.
+    let schedule: Vec<(u64, SymmetricKey)> = rekeys
+        .iter()
+        .copied()
+        .collect::<BTreeMap<u64, SymmetricKey>>()
+        .into_iter()
+        .rev()
+        .collect();
     (0..params.n())
         .map(|id| {
             let my_script: BTreeMap<u64, Vec<u8>> = script
@@ -378,12 +410,12 @@ pub fn session_nodes(
                 .filter(|e| e.sender == id)
                 .map(|e| (e.eround, e.message.clone()))
                 .collect();
-            let node = LongLivedNode::new(id, params.clone(), keys[id], my_script, emulated_rounds);
+            let mut node =
+                LongLivedNode::new(id, params.clone(), keys[id], my_script, emulated_rounds);
             if keys[id].is_some() {
-                node.with_rekeys(rekey_map.clone())
-            } else {
-                node
+                node.rekeys = schedule.clone();
             }
+            node
         })
         .collect()
 }
@@ -571,16 +603,16 @@ mod codec_tests {
             (usize::from(u32::MAX as u16), u64::MAX, b"edge"),
         ] {
             let bytes = encode(sender, eround, msg);
-            assert_eq!(decode(&bytes), Some((sender, eround, msg.to_vec())));
+            assert_eq!(decode(bytes), Some((sender, eround, msg.to_vec())));
         }
     }
 
     #[test]
     fn short_input_rejected() {
-        assert_eq!(decode(&[]), None);
-        assert_eq!(decode(&[0u8; 11]), None);
+        assert_eq!(decode(Vec::new()), None);
+        assert_eq!(decode(vec![0u8; 11]), None);
         // Exactly the header with empty message is fine.
-        assert!(decode(&[0u8; 12]).is_some());
+        assert_eq!(decode(vec![0u8; 12]), Some((0, 0, Vec::new())));
     }
 }
 

@@ -21,10 +21,11 @@
 //!   drops surfaced in the report.
 //! * **Batched ticking** — each worker advances all its live sessions by
 //!   one physical round per tick through the engine's round entry point.
-//!   A listen-only epoch ticks with no allocator calls (pinned by a
-//!   counting-allocator test; the tick loop is a `detlint` deny-alloc
-//!   region); sealing a broadcast and opening its first valid copy in an
-//!   emulated round still allocate (`docs/SERVICE.md`).
+//!   Listen-only rounds tick with no allocator calls, across a rekey
+//!   too (pinned by a counting-allocator test; the tick loop is a
+//!   `detlint` deny-alloc region); a broadcasting round clones its
+//!   once-sealed frame onto the air and an acceptance allocates its
+//!   plaintext (`docs/SERVICE.md`).
 //!
 //! ```rust
 //! use gateway::{serve, workload, ServiceConfig};

@@ -226,12 +226,14 @@ impl WorkerShard {
     /// Advance every live session by one physical round and drain the
     /// new acceptances into the per-session transcripts.
     ///
-    /// This is the gateway's hot path. Over a listen-only epoch it makes
-    /// no allocator calls (pinned by `tests/zero_alloc.rs`: the engine
-    /// round, the stack-buffer PRF hop, the cursor drain, and the
+    /// This is the gateway's hot path. Over listen-only rounds it makes
+    /// no allocator calls, across a rekey too (pinned by
+    /// `tests/zero_alloc.rs`: the engine round, the PRF hop on each
+    /// node's cached hopper, the rekey, the cursor drain, and the
     /// pre-sized transcript pushes). A broadcasting round allocates in
-    /// `fame::longlived`: the sender seals its frame, and each listener
-    /// opens and decodes its first valid copy of the emulated round.
+    /// `fame::longlived`: the sender clones its frame, sealed once per
+    /// emulated round, onto the air, and each listener opens its first
+    /// valid copy of the emulated round into one plaintext buffer.
     ///
     /// # Errors
     ///

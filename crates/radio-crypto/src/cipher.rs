@@ -7,7 +7,7 @@
 //! keystream, authenticity from the MAC — a spoofed or tampered frame fails
 //! [`SealedBox::open`] and is discarded by honest receivers.
 
-use crate::hmac::{hmac_sha256, verify_tag};
+use crate::hmac::{verify_tag, HmacKey};
 use crate::key::{Digest, SymmetricKey};
 use crate::prf::Prf;
 
@@ -22,62 +22,50 @@ pub struct SealedBox {
     pub tag: Digest,
 }
 
-fn keystream(key: &SymmetricKey, nonce: u64, len: usize) -> Vec<u8> {
+/// XOR the keystream for `nonce` into `data` in place, one 32-byte PRF
+/// block at a time.
+fn apply_keystream(key: &SymmetricKey, nonce: u64, data: &mut [u8]) {
     let prf = Prf::new(key, b"secure-radio/stream");
-    let mut out = Vec::with_capacity(len);
-    let mut block = 0u64;
-    while out.len() < len {
-        let d = prf.eval2(nonce, block);
-        let take = (len - out.len()).min(32);
-        out.extend_from_slice(&d.as_bytes()[..take]);
-        block += 1;
+    for (block, chunk) in (0u64..).zip(data.chunks_mut(32)) {
+        let stream = prf.eval2(nonce, block);
+        for (byte, s) in chunk.iter_mut().zip(stream.as_bytes()) {
+            *byte ^= s;
+        }
     }
-    out
 }
 
-fn mac_input(nonce: u64, ciphertext: &[u8]) -> Vec<u8> {
-    let mut m = Vec::with_capacity(8 + ciphertext.len());
-    m.extend_from_slice(&nonce.to_be_bytes());
-    m.extend_from_slice(ciphertext);
-    m
-}
-
-fn mac_key(key: &SymmetricKey) -> [u8; 32] {
-    // Independent subkey for the MAC (encrypt-then-MAC discipline).
-    *Prf::new(key, b"secure-radio/mac-subkey").eval(0).as_bytes()
+/// The tag over `nonce || ciphertext`, under an independent subkey of
+/// `key` (encrypt-then-MAC discipline).
+fn tag(key: &SymmetricKey, nonce: u64, ciphertext: &[u8]) -> Digest {
+    let subkey = Prf::new(key, b"secure-radio/mac-subkey").eval(0);
+    HmacKey::new(subkey.as_bytes()).mac_parts(&[&nonce.to_be_bytes(), ciphertext])
 }
 
 impl SealedBox {
     /// Encrypt and authenticate `plaintext` under `key` with public `nonce`.
     ///
     /// Nonces must not repeat under one key for secrecy; the protocols use
-    /// the (globally unique) round or epoch number.
+    /// the (globally unique) round or epoch number. Sealing is
+    /// deterministic in `(key, nonce, plaintext)`.
     pub fn seal(key: &SymmetricKey, nonce: u64, plaintext: &[u8]) -> Self {
-        let stream = keystream(key, nonce, plaintext.len());
-        let ciphertext: Vec<u8> = plaintext.iter().zip(&stream).map(|(p, s)| p ^ s).collect();
-        let tag = hmac_sha256(&mac_key(key), &mac_input(nonce, &ciphertext));
+        let mut ciphertext = plaintext.to_vec();
+        apply_keystream(key, nonce, &mut ciphertext);
         SealedBox {
             nonce,
+            tag: tag(key, nonce, &ciphertext),
             ciphertext,
-            tag,
         }
     }
 
     /// Verify and decrypt. Returns `None` when the tag does not verify
     /// (wrong key, tampered ciphertext, or forged frame).
     pub fn open(&self, key: &SymmetricKey) -> Option<Vec<u8>> {
-        let expected = hmac_sha256(&mac_key(key), &mac_input(self.nonce, &self.ciphertext));
-        if !verify_tag(&expected, &self.tag) {
+        if !verify_tag(&tag(key, self.nonce, &self.ciphertext), &self.tag) {
             return None;
         }
-        let stream = keystream(key, self.nonce, self.ciphertext.len());
-        Some(
-            self.ciphertext
-                .iter()
-                .zip(&stream)
-                .map(|(c, s)| c ^ s)
-                .collect(),
-        )
+        let mut plaintext = self.ciphertext.clone();
+        apply_keystream(key, self.nonce, &mut plaintext);
+        Some(plaintext)
     }
 }
 
@@ -97,6 +85,23 @@ mod tests {
             let boxed = SealedBox::seal(&k, 7, &pt);
             assert_eq!(boxed.open(&k), Some(pt));
         }
+    }
+
+    /// The frame bytes are pinned: keystream blocks, subkey and tag as
+    /// computed independently with Python's `hmac`/`hashlib`.
+    #[test]
+    fn seal_known_answer() {
+        let plaintext: Vec<u8> = (0..40).collect();
+        let boxed = SealedBox::seal(&key(1), 7, &plaintext);
+        let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        assert_eq!(
+            hex(&boxed.ciphertext),
+            "0cd0bd9f4cfc4fcae0f81daf03cfdbe49103861c21486e0a891d3d634acf50eca66b62b85ee5dcfa"
+        );
+        assert_eq!(
+            boxed.tag.to_hex(),
+            "e71735d765568be95d4bee7bf3e6bb302f432b7d3ebf2a3861e5e9a0dd319795"
+        );
     }
 
     #[test]

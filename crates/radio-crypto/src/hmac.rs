@@ -1,11 +1,83 @@
 //! HMAC-SHA-256 (RFC 2104), validated against the RFC 4231 test vectors.
+//!
+//! [`HmacKey`] absorbs a key's inner and outer pad blocks once, so each
+//! MAC under it costs only the compressions of the message itself plus
+//! one for the outer hash: 2 for the 32-byte channel-hop input. Building
+//! it is the whole per-key cost (2 compressions, one more for a key
+//! longer than a block), paid once per key or rekey.
+
+use std::fmt;
 
 use crate::key::Digest;
-use crate::sha256::Sha256;
+use crate::sha256::{block_midstate, Sha256};
 
 const BLOCK: usize = 64;
 const IPAD: u8 = 0x36;
 const OPAD: u8 = 0x5c;
+
+/// HMAC-SHA-256 under one fixed key, held as the two keyed midstates:
+/// the SHA-256 chaining states after the inner (`key ⊕ ipad`) and outer
+/// (`key ⊕ opad`) pad blocks.
+///
+/// The midstates are key-equivalent (they MAC anything the key does), so
+/// `Debug` shows neither them nor the key.
+///
+/// ```rust
+/// use radio_crypto::hmac::{hmac_sha256, HmacKey};
+/// let key = HmacKey::new(b"key");
+/// let msg = b"The quick brown fox jumps over the lazy dog";
+/// assert_eq!(key.mac(msg), hmac_sha256(b"key", msg));
+/// // A message given in parts MACs like its concatenation.
+/// let (head, tail) = msg.split_at(19);
+/// assert_eq!(key.mac_parts(&[head, tail]), key.mac(msg));
+/// ```
+#[derive(Clone)]
+pub struct HmacKey {
+    inner: [u32; 8],
+    outer: [u32; 8],
+}
+
+impl HmacKey {
+    /// Absorb `key`'s pad blocks. Keys longer than a block are hashed
+    /// first (RFC 2104).
+    pub fn new(key: &[u8]) -> Self {
+        let mut key_block = [0u8; BLOCK];
+        if key.len() > BLOCK {
+            key_block[..32].copy_from_slice(Sha256::digest(key).as_bytes());
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        let pad = |byte: u8| key_block.map(|k| k ^ byte);
+        HmacKey {
+            inner: block_midstate(&pad(IPAD)),
+            outer: block_midstate(&pad(OPAD)),
+        }
+    }
+
+    /// `HMAC-SHA256(key, message)`.
+    pub fn mac(&self, message: &[u8]) -> Digest {
+        self.mac_parts(&[message])
+    }
+
+    /// `HMAC-SHA256(key, parts[0] || parts[1] || …)`, without
+    /// concatenating the parts.
+    pub fn mac_parts(&self, parts: &[&[u8]]) -> Digest {
+        let mut inner = Sha256::after_block(self.inner);
+        for part in parts {
+            inner.update(part);
+        }
+        let mut outer = Sha256::after_block(self.outer);
+        outer.update(inner.finalize().as_bytes());
+        outer.finalize()
+    }
+}
+
+impl fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Redacted on purpose: the midstates stand in for the key.
+        f.write_str("HmacKey(redacted)")
+    }
+}
 
 /// Compute `HMAC-SHA256(key, message)`.
 ///
@@ -18,34 +90,7 @@ const OPAD: u8 = 0x5c;
 /// );
 /// ```
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
-    // Keys longer than a block are hashed first (RFC 2104).
-    let mut key_block = [0u8; BLOCK];
-    if key.len() > BLOCK {
-        let d = Sha256::digest(key);
-        key_block[..32].copy_from_slice(d.as_bytes());
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-
-    // Pads live on the stack: this runs once per PRF evaluation, which is
-    // once per node per round on the channel-hopping hot path, and the
-    // gateway's steady-state tick is pinned at zero heap allocations.
-    let mut pad = [0u8; BLOCK];
-    for (p, b) in pad.iter_mut().zip(&key_block) {
-        *p = b ^ IPAD;
-    }
-    let mut inner = Sha256::new();
-    inner.update(&pad);
-    inner.update(message);
-    let inner_digest = inner.finalize();
-
-    for (p, b) in pad.iter_mut().zip(&key_block) {
-        *p = b ^ OPAD;
-    }
-    let mut outer = Sha256::new();
-    outer.update(&pad);
-    outer.update(inner_digest.as_bytes());
-    outer.finalize()
+    HmacKey::new(key).mac(message)
 }
 
 /// Constant-shape tag comparison.
@@ -62,9 +107,36 @@ pub fn verify_tag(expected: &Digest, actual: &Digest) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::key::SymmetricKey;
+    use crate::prf::{ChannelHopper, Prf};
+    use proptest::prelude::*;
 
-    fn hex(bytes: &[u8]) -> String {
-        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    /// Two-pass HMAC straight from RFC 2104, re-hashing both pads on
+    /// every call: the reference the keyed midstates must reproduce.
+    fn reference_hmac(key: &[u8], message: &[u8]) -> Digest {
+        let mut key_block = [0u8; BLOCK];
+        if key.len() > BLOCK {
+            let d = Sha256::digest(key);
+            key_block[..32].copy_from_slice(d.as_bytes());
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        let mut pad = [0u8; BLOCK];
+        for (p, b) in pad.iter_mut().zip(&key_block) {
+            *p = b ^ IPAD;
+        }
+        let mut inner = Sha256::new();
+        inner.update(&pad);
+        inner.update(message);
+        let inner_digest = inner.finalize();
+
+        for (p, b) in pad.iter_mut().zip(&key_block) {
+            *p = b ^ OPAD;
+        }
+        let mut outer = Sha256::new();
+        outer.update(&pad);
+        outer.update(inner_digest.as_bytes());
+        outer.finalize()
     }
 
     /// RFC 4231 test case 1.
@@ -100,6 +172,24 @@ mod tests {
         );
     }
 
+    /// RFC 4231 test case 4 (25-byte counting key, 0xcd data).
+    #[test]
+    fn rfc4231_case4() {
+        let key: Vec<u8> = (1..=25).collect();
+        let tag = hmac_sha256(&key, &[0xcd; 50]);
+        assert_eq!(
+            tag.to_hex(),
+            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"
+        );
+    }
+
+    /// RFC 4231 test case 5: the tag truncated to its first 16 bytes.
+    #[test]
+    fn rfc4231_case5_truncated() {
+        let tag = hmac_sha256(&[0x0c; 20], b"Test With Truncation");
+        assert_eq!(&tag.to_hex()[..32], "a3b6167473100ee06e0c796c2955552b");
+    }
+
     /// RFC 4231 test case 6: key larger than one block.
     #[test]
     fn rfc4231_case6_long_key() {
@@ -114,6 +204,22 @@ mod tests {
         );
     }
 
+    /// RFC 4231 test case 7: key and data both larger than one block.
+    #[test]
+    fn rfc4231_case7_long_key_and_data() {
+        let key = [0xaa; 131];
+        let tag = hmac_sha256(
+            &key,
+            b"This is a test using a larger than block-size key and a larger than \
+              block-size data. The key needs to be hashed before being used by the \
+              HMAC algorithm.",
+        );
+        assert_eq!(
+            tag.to_hex(),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
+        );
+    }
+
     #[test]
     fn tag_verification() {
         let a = hmac_sha256(b"k", b"m");
@@ -121,11 +227,58 @@ mod tests {
         let c = hmac_sha256(b"k", b"m2");
         assert!(verify_tag(&a, &b));
         assert!(!verify_tag(&a, &c));
-        let _ = hex(a.as_bytes()); // silence unused helper in some cfgs
     }
 
     #[test]
     fn different_keys_different_tags() {
         assert_ne!(hmac_sha256(b"k1", b"m"), hmac_sha256(b"k2", b"m"));
+    }
+
+    /// No `Debug` on the keyed types shows the key bytes or a midstate
+    /// word, in hex or decimal.
+    #[test]
+    fn debug_of_keyed_types_is_redacted() {
+        let key = SymmetricKey::from_bytes([7; 32]);
+        let midstates = HmacKey::new(key.as_bytes());
+        let shown = [
+            format!("{midstates:?}"),
+            format!("{:?}", Prf::new(&key, b"label")),
+            format!("{:?}", ChannelHopper::new(&key, 3)),
+        ];
+        for dbg in &shown {
+            assert!(
+                !dbg.contains("0707") && !dbg.contains("7, 7"),
+                "raw key bytes leaked: {dbg}"
+            );
+            for word in midstates.inner.iter().chain(&midstates.outer) {
+                assert!(
+                    !dbg.contains(&word.to_string()) && !dbg.contains(&format!("{word:x}")),
+                    "midstate word {word:#x} leaked: {dbg}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+        /// Keyed midstates MAC like the two-pass reference, for keys on
+        /// both sides of the 64-byte hash-the-key rule and messages split
+        /// into parts anywhere.
+        #[test]
+        fn mac_parts_matches_two_pass_reference(
+            key in proptest::collection::vec(any::<u8>(), 0..=200),
+            message in proptest::collection::vec(any::<u8>(), 0..=300),
+            cut_a in any::<usize>(),
+            cut_b in any::<usize>(),
+        ) {
+            let cut_a = cut_a % (message.len() + 1);
+            let cut_b = cut_a + cut_b % (message.len() - cut_a + 1);
+            let (head, rest) = message.split_at(cut_a);
+            let (mid, tail) = rest.split_at(cut_b - cut_a);
+            let keyed = HmacKey::new(&key);
+            let expected = reference_hmac(&key, &message);
+            prop_assert_eq!(keyed.mac_parts(&[head, mid, tail]), expected);
+            prop_assert_eq!(keyed.mac(&message), expected);
+        }
     }
 }

@@ -6,61 +6,49 @@
 //! Because the adversary lacks the key, every round it can do no better than
 //! guessing which `t` of the `C` channels to jam.
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacKey;
 use crate::key::{Digest, SymmetricKey};
 
 /// A keyed pseudo-random function `F(key, label, counter) -> 32 bytes`,
 /// instantiated as `HMAC-SHA256(key, label || counter_be)`.
 ///
 /// The `label` domain-separates independent uses of the same key (hopping
-/// vs. keystream vs. key derivation).
+/// vs. keystream vs. key derivation). The key is held as its HMAC
+/// midstates ([`HmacKey`]), so building a `Prf` costs 2 compressions and
+/// each evaluation 2 more (for every label in this workspace: label and
+/// counters fit one block).
 #[derive(Clone, Debug)]
 pub struct Prf {
-    key: SymmetricKey,
+    key: HmacKey,
     label: &'static [u8],
 }
 
-/// Longest domain-separation label a [`Prf`] accepts — sized so every
-/// evaluation's `label || counter || tweak` input fits a stack buffer
-/// (the hopping PRF runs once per node per round; heap traffic here
-/// would break the gateway's zero-allocation steady-state tick).
-pub const MAX_LABEL: usize = 48;
-
 impl Prf {
     /// A PRF under `key` with domain-separation `label`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `label` exceeds [`MAX_LABEL`] bytes.
     pub fn new(key: &SymmetricKey, label: &'static [u8]) -> Self {
-        assert!(
-            label.len() <= MAX_LABEL,
-            "PRF label exceeds MAX_LABEL bytes"
-        );
-        Prf { key: *key, label }
+        Prf {
+            key: HmacKey::new(key.as_bytes()),
+            label,
+        }
     }
 
     /// Evaluate at `counter`.
     pub fn eval(&self, counter: u64) -> Digest {
-        let mut msg = [0u8; MAX_LABEL + 8];
-        let l = self.label.len();
-        msg[..l].copy_from_slice(self.label);
-        msg[l..l + 8].copy_from_slice(&counter.to_be_bytes());
-        hmac_sha256(self.key.as_bytes(), &msg[..l + 8])
+        self.key.mac_parts(&[self.label, &counter.to_be_bytes()])
     }
 
     /// Evaluate at `(counter, tweak)` — two-dimensional inputs.
     pub fn eval2(&self, counter: u64, tweak: u64) -> Digest {
-        let mut msg = [0u8; MAX_LABEL + 16];
-        let l = self.label.len();
-        msg[..l].copy_from_slice(self.label);
-        msg[l..l + 8].copy_from_slice(&counter.to_be_bytes());
-        msg[l + 8..l + 16].copy_from_slice(&tweak.to_be_bytes());
-        hmac_sha256(self.key.as_bytes(), &msg[..l + 16])
+        self.key
+            .mac_parts(&[self.label, &counter.to_be_bytes(), &tweak.to_be_bytes()])
     }
 }
 
 /// The channel-hopping sequence shared by everyone who knows `key`.
+///
+/// Build one per key and keep it: [`ChannelHopper::new`] absorbs the key
+/// (2 compressions) and each [`ChannelHopper::channel_for`] then costs 2
+/// compressions per rejection-sampling attempt.
 ///
 /// ```rust
 /// use radio_crypto::{ChannelHopper, key::SymmetricKey};
@@ -140,6 +128,16 @@ mod tests {
         for round in 0..100 {
             assert_eq!(a.channel_for(round), b.channel_for(round));
         }
+    }
+
+    /// The hop sequence is pinned: `HMAC(key, "secure-radio/hop" ||
+    /// round || attempt)` with rejection sampling, computed independently
+    /// with Python's `hmac`/`hashlib`.
+    #[test]
+    fn hopper_known_answer() {
+        let hopper = ChannelHopper::new(&key(1), 4);
+        let channels: Vec<usize> = (0..16).map(|r| hopper.channel_for(r)).collect();
+        assert_eq!(channels, [1, 1, 1, 3, 1, 1, 0, 3, 1, 1, 1, 0, 1, 0, 0, 3]);
     }
 
     #[test]

@@ -5,7 +5,12 @@
 //! the `fame::compact` module derives `H1`/`H2` from it with domain
 //! separation prefixes.
 //!
-//! Validated against the NIST / FIPS 180-4 example vectors in the tests.
+//! Each 64-byte block goes through one of two compression kernels, chosen
+//! per call by CPUID alone: the `sha256-ni` crate's SHA-NI kernel where
+//! the CPU has the x86-64 SHA extensions, else the scalar loop below.
+//! Both produce the same bits; the scalar loop is also the oracle the
+//! hardware kernel is tested against. Validated against the NIST / FIPS
+//! 180-4 example vectors in the tests, through each kernel explicitly.
 
 use crate::key::Digest;
 
@@ -59,6 +64,17 @@ impl Sha256 {
         }
     }
 
+    /// A hasher that has absorbed one block and holds chaining state
+    /// `midstate` (from `block_midstate`): HMAC resumes from its keyed
+    /// pads this way.
+    pub(crate) fn after_block(midstate: [u32; 8]) -> Self {
+        Sha256 {
+            state: midstate,
+            length: 64,
+            ..Sha256::new()
+        }
+    }
+
     /// Convenience: hash `data` in one call.
     pub fn digest(data: &[u8]) -> Digest {
         let mut h = Sha256::new();
@@ -67,7 +83,16 @@ impl Sha256 {
     }
 
     /// Absorb more input.
-    pub fn update(&mut self, mut data: &[u8]) {
+    pub fn update(&mut self, data: &[u8]) {
+        self.absorb(data, compress);
+    }
+
+    /// Finish and produce the 32-byte digest.
+    pub fn finalize(self) -> Digest {
+        self.finish(compress)
+    }
+
+    fn absorb(&mut self, mut data: &[u8], compress: impl Fn(&mut [u32; 8], &[u8; 64])) {
         self.length = self.length.wrapping_add(data.len() as u64);
         // Fill the partial block first.
         if self.buffered > 0 {
@@ -76,91 +101,41 @@ impl Sha256 {
             self.buffered += take;
             data = &data[take..];
             if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
+                compress(&mut self.state, &self.buffer);
                 self.buffered = 0;
             }
         }
         // Whole blocks straight from the input.
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            data = rest;
+        let mut blocks = data.chunks_exact(64);
+        for block in &mut blocks {
+            compress(&mut self.state, block.try_into().expect("64-byte chunk"));
         }
         // Stash the tail.
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffered = data.len();
+        let tail = blocks.remainder();
+        if !tail.is_empty() {
+            self.buffer[..tail.len()].copy_from_slice(tail);
+            self.buffered = tail.len();
         }
     }
 
-    /// Finish and produce the 32-byte digest.
-    pub fn finalize(mut self) -> Digest {
-        let bit_len = self.length.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update(&[0x80]);
-        // `update` mutated self.length; only buffer state matters now.
-        while self.buffered != 56 {
-            self.update(&[0]);
+    fn finish(mut self, compress: impl Fn(&mut [u32; 8], &[u8; 64])) -> Digest {
+        // Padding: 0x80, zeros, 64-bit big-endian bit length — in one or
+        // two final blocks.
+        let n = self.buffered;
+        self.buffer[n] = 0x80;
+        self.buffer[n + 1..].fill(0);
+        if n >= 56 {
+            compress(&mut self.state, &self.buffer);
+            self.buffer.fill(0);
         }
-        // Append length without re-entering update's length bookkeeping.
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
-        self.compress(&block);
+        self.buffer[56..].copy_from_slice(&self.length.wrapping_mul(8).to_be_bytes());
+        compress(&mut self.state, &self.buffer);
 
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         Digest::from_bytes(out)
-    }
-
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let temp1 = h
-                .wrapping_add(big_s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let big_s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = big_s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
     }
 }
 
@@ -170,11 +145,100 @@ impl Default for Sha256 {
     }
 }
 
+/// The chaining state after compressing one `block` from the initial
+/// hash value: the midstate a keyed hash resumes from.
+pub(crate) fn block_midstate(block: &[u8; 64]) -> [u32; 8] {
+    let mut state = H0;
+    compress(&mut state, block);
+    state
+}
+
+/// One compression: the SHA-NI kernel when the CPU has it, else the
+/// scalar loop.
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    if !sha256_ni::compress(state, block) {
+        compress_scalar(state, block);
+    }
+}
+
+/// The scalar FIPS 180-4 compression loop (§6.2.2).
+fn compress_scalar(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ ((!e) & g);
+        let temp1 = h
+            .wrapping_add(big_s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let big_s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let temp2 = big_s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(temp1);
+        d = c;
+        c = b;
+        b = a;
+        a = temp1.wrapping_add(temp2);
+    }
+
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    /// FIPS 180-4 / NIST example vectors.
+    type Kernel = fn(&mut [u32; 8], &[u8; 64]);
+
+    /// `true` when this CPU runs the SHA-NI kernel.
+    fn sha_ni_available() -> bool {
+        sha256_ni::compress(&mut H0.clone(), &[0u8; 64])
+    }
+
+    /// The kernels to check by name: the scalar loop always, the SHA-NI
+    /// kernel on its own (never through the dispatch) when the CPU has it.
+    /// Says so on stderr when it does not, so a run on such a CPU cannot
+    /// pass for a check of the hardware kernel.
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        let mut kernels: Vec<(&'static str, Kernel)> = vec![("scalar", compress_scalar)];
+        if sha_ni_available() {
+            kernels.push(("sha-ni", |state, block| {
+                assert!(sha256_ni::compress(state, block), "SHA-NI kernel ran");
+            }));
+        } else {
+            eprintln!("this CPU has no SHA-NI: only the scalar kernel is checked");
+        }
+        kernels
+    }
+
+    fn digest_with(kernel: Kernel, data: &[u8]) -> Digest {
+        let mut h = Sha256::new();
+        h.absorb(data, kernel);
+        h.finish(kernel)
+    }
+
+    /// FIPS 180-4 / NIST example vectors, through each kernel and the
+    /// dispatch.
     #[test]
     fn nist_vectors() {
         let cases: &[(&[u8], &str)] = &[
@@ -197,21 +261,27 @@ mod tests {
         ];
         for (input, expected) in cases {
             assert_eq!(&Sha256::digest(input).to_hex(), expected);
+            for (name, kernel) in kernels() {
+                assert_eq!(&digest_with(kernel, input).to_hex(), expected, "{name}");
+            }
         }
     }
 
     /// The classic million-'a' vector, exercising many blocks.
     #[test]
     fn million_a() {
-        let mut h = Sha256::new();
         let chunk = [b'a'; 1000];
-        for _ in 0..1000 {
-            h.update(&chunk);
+        for (name, kernel) in kernels() {
+            let mut h = Sha256::new();
+            for _ in 0..1000 {
+                h.absorb(&chunk, kernel);
+            }
+            assert_eq!(
+                h.finish(kernel).to_hex(),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+                "{name}"
+            );
         }
-        assert_eq!(
-            h.finalize().to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
     }
 
     /// Incremental hashing must agree with one-shot hashing for every split.
@@ -227,26 +297,81 @@ mod tests {
         }
     }
 
-    /// Padding boundary cases: lengths around the 55/56/64-byte edges.
+    /// Padding around the 55/56/64-byte edges: one or two final blocks.
+    /// Known answers for `len` bytes of `'a'`, from Python's `hashlib`.
     #[test]
     fn padding_boundaries() {
-        // Computed with the reference implementation; spot-check a couple of
-        // well-known ones and assert all lengths are distinct.
-        let mut digests = Vec::new();
-        for len in 50..70 {
-            let data = vec![0x61u8; len];
-            digests.push(Sha256::digest(&data));
-        }
-        for i in 0..digests.len() {
-            for j in i + 1..digests.len() {
-                assert_ne!(digests[i], digests[j]);
+        let cases = [
+            (
+                0,
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                55,
+                "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            ),
+            (
+                56,
+                "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            ),
+            (
+                63,
+                "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            ),
+            (
+                64,
+                "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            ),
+            (
+                119,
+                "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            ),
+            (
+                120,
+                "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c",
+            ),
+            (
+                128,
+                "6836cf13bac400e9105071cd6af47084dfacad4e5e302c94bfed24e013afb73e",
+            ),
+        ];
+        for (len, expected) in cases {
+            let data = vec![b'a'; len];
+            assert_eq!(Sha256::digest(&data).to_hex(), expected, "len {len}");
+            for (name, kernel) in kernels() {
+                assert_eq!(
+                    digest_with(kernel, &data).to_hex(),
+                    expected,
+                    "{name}, len {len}"
+                );
             }
         }
-        // len = 64 (exactly one block of 'a')
-        assert_eq!(
-            Sha256::digest(&[b'a'; 64]).to_hex(),
-            "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"
-        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10_000))]
+        fn kernels_agree(state in any::<[u32; 8]>(), block in any::<[u8; 64]>()) {
+            let mut scalar = state;
+            compress_scalar(&mut scalar, &block);
+            let mut dispatched = state;
+            compress(&mut dispatched, &block);
+            prop_assert_eq!(dispatched, scalar);
+            let mut ni = state;
+            if sha256_ni::compress(&mut ni, &block) {
+                prop_assert_eq!(ni, scalar);
+            }
+        }
+    }
+
+    /// The SHA-NI kernel equals the scalar loop on 10 000 random
+    /// (state, block) pairs; on a CPU without SHA-NI only the scalar and
+    /// dispatched halves run, and the test says so.
+    #[test]
+    fn sha_ni_kernel_matches_scalar_loop() {
+        if !sha_ni_available() {
+            eprintln!("this CPU has no SHA-NI: the kernel comparison checks the scalar half only");
+        }
+        kernels_agree();
     }
 
     #[test]

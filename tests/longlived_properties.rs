@@ -1,12 +1,21 @@
 //! Long-lived service (Section 7): t-reliability, secrecy, authentication
-//! — including a replay attacker that retransmits genuine old frames.
+//! — including a replay attacker that retransmits genuine old frames — and
+//! the node's crypto caches (hopper per key, one seal per emulated round)
+//! staying invisible across rekeys.
 
-use fame::longlived::{run_longlived, ScriptEntry};
+use std::collections::BTreeMap;
+
+use fame::longlived::{run_longlived, session_nodes, LongLivedNode, ScriptEntry};
 use fame::Params;
+use proptest::prelude::*;
 use radio_crypto::cipher::SealedBox;
 use radio_crypto::key::SymmetricKey;
+use radio_crypto::prf::ChannelHopper;
 use radio_network::adversaries::{BusyChannelJammer, NoAdversary, RandomJammer};
-use radio_network::{Adversary, AdversaryAction, AdversaryView, ChannelId, Emission};
+use radio_network::{
+    Action, Adversary, AdversaryAction, AdversaryView, ChannelId, Emission, NetworkConfig,
+    Protocol, Reception, Simulation,
+};
 
 fn params() -> Params {
     Params::minimal(40, 2).unwrap()
@@ -277,4 +286,182 @@ fn wide_band_halves_latency() {
     let report = run_longlived(&wide, &ks, &script(), RandomJammer::new(5), 63, false).unwrap();
     let holders = vec![true; n];
     assert!(report.delivery_rate(&script(), &holders) > 0.999);
+}
+
+/// A `LongLivedNode` under audit: every `begin_round` is compared with
+/// what a fresh `ChannelHopper` and a fresh `SealedBox::seal` under the
+/// key in force would produce, so the node's cached hopper and cached
+/// frame can never show.
+struct Audited {
+    node: LongLivedNode,
+    id: usize,
+    /// Key in force from each emulated round on (`0` = the initial key);
+    /// empty for a node outside the keyed group.
+    keys: BTreeMap<u64, SymmetricKey>,
+    /// My scripted broadcasts: emulated round -> message.
+    script: BTreeMap<u64, Vec<u8>>,
+    channels: usize,
+    epoch_len: u64,
+    mismatches: Vec<String>,
+}
+
+impl Protocol for Audited {
+    type Msg = SealedBox;
+
+    fn begin_round(&mut self, round: u64) -> Action<SealedBox> {
+        let action = self.node.begin_round(round);
+        let e = round / self.epoch_len;
+        let Some((_, key)) = self.keys.range(..=e).next_back() else {
+            if !matches!(action, Action::Sleep) {
+                self.mismatches
+                    .push(format!("unkeyed node {} woke in round {round}", self.id));
+            }
+            return action;
+        };
+        let channel = ChannelId(ChannelHopper::new(key, self.channels).channel_for(round));
+        let expected = match self.script.get(&e) {
+            Some(message) => {
+                let mut plaintext = (self.id as u32).to_be_bytes().to_vec();
+                plaintext.extend_from_slice(&e.to_be_bytes());
+                plaintext.extend_from_slice(message);
+                Action::Transmit {
+                    channel,
+                    frame: SealedBox::seal(key, e, &plaintext),
+                }
+            }
+            None => Action::Listen { channel },
+        };
+        if action != expected {
+            self.mismatches.push(format!(
+                "node {} round {round} (emulated {e}): got {action:?}, want {expected:?}",
+                self.id
+            ));
+        }
+        action
+    }
+
+    fn end_round(&mut self, round: u64, reception: Option<Reception<&SealedBox>>) {
+        self.node.end_round(round, reception);
+    }
+
+    fn is_done(&self) -> bool {
+        self.node.is_done()
+    }
+
+    fn next_wake(&self, round: u64) -> u64 {
+        self.node.next_wake(round)
+    }
+}
+
+proptest! {
+    /// Over random shapes, scripts, rekey schedules and jammer seeds, a
+    /// node's cached hopper and cached frame are invisible: every round's
+    /// channel and frame equal a fresh hop and a fresh seal under the key
+    /// in force. Each case also pins one node broadcasting in the
+    /// emulated rounds just before and at a rekey, with the same message
+    /// both times, so a frame cache keyed on anything but its nonce, or a
+    /// hopper kept across a rekey, is caught.
+    #[test]
+    fn node_caches_are_invisible_across_rekeys(
+        seed in any::<u64>(),
+        channels in 2usize..=3,
+        slots in proptest::collection::vec(
+            (
+                proptest::option::of((any::<usize>(), proptest::collection::vec(any::<u8>(), 0..20))),
+                proptest::option::of(any::<[u8; 32]>()),
+            ),
+            3..=5,
+        ),
+        pivot in any::<u64>(),
+        repeat in (any::<usize>(), proptest::collection::vec(any::<u8>(), 0..20), any::<[u8; 32]>()),
+        unkeyed in any::<usize>(),
+        via_with_rekeys in any::<bool>(),
+    ) {
+        let p = Params::new(Params::min_nodes(1, channels), 1, channels).unwrap();
+        let n = p.n();
+        let initial = SymmetricKey::from_bytes([0x5A; 32]);
+        let mut keys = vec![Some(initial); n];
+        keys[unkeyed % n] = None;
+        let keyed: Vec<usize> = (0..n).filter(|&v| keys[v].is_some()).collect();
+
+        let erounds = slots.len() as u64;
+        let mut script: BTreeMap<u64, (usize, Vec<u8>)> = BTreeMap::new();
+        let mut rekeys: BTreeMap<u64, SymmetricKey> = BTreeMap::new();
+        for (e, (broadcast, rekey)) in (0u64..).zip(slots) {
+            if let Some((sender, message)) = broadcast {
+                script.insert(e, (keyed[sender % keyed.len()], message));
+            }
+            if let (Some(bytes), true) = (rekey, e > 0) {
+                rekeys.insert(e, SymmetricKey::from_bytes(bytes));
+            }
+        }
+        let (sender, message, rekey) = repeat;
+        let at = 1 + pivot % (erounds - 1);
+        let sender = keyed[sender % keyed.len()];
+        script.insert(at - 1, (sender, message.clone()));
+        script.insert(at, (sender, message));
+        rekeys.insert(at, SymmetricKey::from_bytes(rekey));
+
+        let entries: Vec<ScriptEntry> = script
+            .iter()
+            .map(|(&eround, (sender, message))| ScriptEntry {
+                eround,
+                sender: *sender,
+                message: message.clone(),
+            })
+            .collect();
+        let schedule: Vec<(u64, SymmetricKey)> = rekeys.iter().map(|(&e, &k)| (e, k)).collect();
+        let scripts: Vec<BTreeMap<u64, Vec<u8>>> = (0..n)
+            .map(|v| {
+                script
+                    .iter()
+                    .filter(|(_, (s, _))| *s == v)
+                    .map(|(&e, (_, m))| (e, m.clone()))
+                    .collect()
+            })
+            .collect();
+        let nodes: Vec<LongLivedNode> = if via_with_rekeys {
+            (0..n)
+                .map(|v| {
+                    let node = LongLivedNode::new(v, p.clone(), keys[v], scripts[v].clone(), erounds);
+                    if keys[v].is_some() {
+                        node.with_rekeys(rekeys.clone())
+                    } else {
+                        node
+                    }
+                })
+                .collect()
+        } else {
+            session_nodes(&p, &keys, &entries, &schedule, erounds)
+        };
+        let audited: Vec<Audited> = nodes
+            .into_iter()
+            .zip(scripts)
+            .enumerate()
+            .map(|(v, (node, script))| {
+                let mut in_force = BTreeMap::new();
+                if let Some(k) = keys[v] {
+                    in_force.insert(0, k);
+                    in_force.extend(rekeys.iter().map(|(&e, &k)| (e, k)));
+                }
+                Audited {
+                    node,
+                    id: v,
+                    keys: in_force,
+                    script,
+                    channels,
+                    epoch_len: p.epoch_rounds(),
+                    mismatches: Vec::new(),
+                }
+            })
+            .collect();
+
+        let cfg = NetworkConfig::new(p.c(), p.t()).unwrap();
+        let mut sim = Simulation::new(cfg, audited, RandomJammer::new(seed), seed).unwrap();
+        let report = sim.run(erounds * p.epoch_rounds() + 2).unwrap();
+        prop_assert_eq!(report.rounds, erounds * p.epoch_rounds());
+        for node in sim.nodes() {
+            prop_assert!(node.mismatches.is_empty(), "{}", node.mismatches.join("\n"));
+        }
+    }
 }
